@@ -150,8 +150,7 @@ func simSuite() []simEntry {
 	// multi-unit host-performance point outside the DNN configuration.
 	// The units run identical programs against one shared image (the
 	// writes are idempotent, so verification holds) and contend for the
-	// shared DRAM channel, which exercises the parallel lockstep
-	// scheduler and its deferred-grant barrier.
+	// shared DRAM channel, which exercises the lockstep cluster schedule.
 	for _, g := range machsuite.All() {
 		if g.Name != "gemm" {
 			continue

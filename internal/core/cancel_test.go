@@ -162,9 +162,10 @@ func TestCancelRerunByteIdentical(t *testing.T) {
 	}
 }
 
-// TestClusterCancelNoGoroutineLeak cancels a parallel cluster run
-// (worker goroutine per unit) and checks both the typed error and that
-// every worker is released.
+// TestClusterCancelNoGoroutineLeak cancels an 8-unit cluster run and
+// checks both the typed error and that the goroutine count is back
+// where it started: RunContext runs every unit on the calling goroutine
+// and must start none of its own.
 func TestClusterCancelNoGoroutineLeak(t *testing.T) {
 	l := dnn.Layers()[0]
 	cfg := dnn.Config()

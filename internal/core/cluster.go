@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"softbrain/internal/faults"
@@ -15,20 +14,12 @@ import (
 // Cluster is several Softbrain units sharing one backing memory and one
 // DRAM channel — the 8-unit configuration of the DianNao comparison
 // (Section 7.1). Each unit has a private cache and memory port; units
-// contend only for DRAM bandwidth, and run in lockstep.
-//
-// Multi-unit clusters execute in parallel by default: one goroutine per
-// unit with an epoch barrier every cycle at the shared-DRAM boundary
-// (see docs/SIMKERNEL.md). The schedule is byte-identical to the
-// sequential one — DRAM grants are deferred during the cycle and
-// resolved in unit order at the barrier.
+// contend only for DRAM bandwidth, and run in lockstep: every cycle
+// the units step in unit order on the calling goroutine, so the shared
+// DRAM channel grants their misses in unit order (see docs/SIMKERNEL.md).
 type Cluster struct {
 	Units []*Machine
 	Mem   *mem.Memory
-
-	// Sequential forces the single-goroutine lockstep scheduler; the
-	// determinism tests compare it against the parallel default.
-	Sequential bool
 
 	// Lint is the optional cluster-scope static-analysis hook consulted
 	// by RunStrict and RunPipelineStrict before any unit loads: it sees
@@ -194,7 +185,7 @@ func (c *Cluster) FaultStats() faults.Stats {
 // in unit order.
 func (c *Cluster) UnitStats() []*Stats { return c.unitStats }
 
-// Run executes one program per unit concurrently and returns aggregated
+// Run executes one program per unit in lockstep and returns aggregated
 // statistics (Cycles is the wall-clock of the slowest unit). Like
 // Machine.Run, it never lets an invariant panic escape: the recovered
 // MachineError names the unit whose Step failed.
@@ -203,9 +194,8 @@ func (c *Cluster) Run(progs []*Program) (*Stats, error) {
 }
 
 // RunContext is Run bounded by a context: cancellation or deadline
-// expiry mid-run stops the coordinator within one heartbeat stride,
-// releases the worker goroutines, and returns a *CanceledError
-// wrapping the context cause. See Machine.RunContext.
+// expiry mid-run stops the run within one heartbeat stride and returns
+// a *CanceledError wrapping the context cause. See Machine.RunContext.
 func (c *Cluster) RunContext(ctx context.Context, progs []*Program) (stats *Stats, err error) {
 	if err := c.validateUnits(); err != nil {
 		return nil, err
@@ -235,36 +225,6 @@ func (c *Cluster) RunContext(ctx context.Context, progs []*Program) (stats *Stat
 			stats, err = nil, me
 		}
 	}()
-	// step advances every running unit one cycle: sequentially in unit
-	// order, or on the worker goroutines with the epoch barrier.
-	step := func(now uint64) error {
-		for i, u := range c.Units {
-			if u.Done() {
-				continue
-			}
-			curUnit = i
-			if err := u.Step(now); err != nil {
-				if me, ok := err.(*MachineError); ok {
-					me.Unit = i
-				}
-				return err
-			}
-		}
-		return nil
-	}
-	if !c.Sequential && len(c.Units) > 1 {
-		var stop func()
-		step, stop = c.startWorkers()
-		defer stop()
-		for _, u := range c.Units {
-			u.Sys.DeferGrants(true)
-		}
-		defer func() {
-			for _, u := range c.Units {
-				u.Sys.DeferGrants(false)
-			}
-		}()
-	}
 	// diagnose classifies the stuck cluster: the first unit with a
 	// structural cause names the hang, Unknown otherwise.
 	diagnose := func(now uint64) *DeadlockError {
@@ -307,8 +267,19 @@ func (c *Cluster) RunContext(ctx context.Context, progs []*Program) (stats *Stat
 		if done {
 			break
 		}
-		if err := step(now); err != nil {
-			return nil, err
+		// Step every running unit one cycle, in unit order: the shared
+		// DRAM channel grants same-cycle misses in that order.
+		for i, u := range c.Units {
+			if u.Done() {
+				continue
+			}
+			curUnit = i
+			if err := u.Step(now); err != nil {
+				if me, ok := err.(*MachineError); ok {
+					me.Unit = i
+				}
+				return nil, err
+			}
 		}
 		if hbIter++; hbIter&(heartbeatStride-1) == 0 {
 			if ce := canceled(ctx, now); ce != nil {
@@ -492,69 +463,4 @@ func (c *Cluster) RunPipelineStrict(phases [][]*Program) (*Stats, error) {
 		return nil, err
 	}
 	return c.RunPipeline(phases)
-}
-
-// startWorkers spawns one goroutine per unit and returns the parallel
-// step function plus a stop function releasing the workers. Each cycle
-// the coordinator broadcasts the cycle number, waits for every unit to
-// tick (units only share the backing memory and the DRAM channel, and
-// DRAM grants are deferred during the tick), then resolves the deferred
-// grants in unit order — the epoch barrier that makes the parallel
-// schedule identical to the sequential one.
-func (c *Cluster) startWorkers() (step func(now uint64) error, stop func()) {
-	n := len(c.Units)
-	work := make([]chan uint64, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		work[i] = make(chan uint64, 1)
-		go func(i int) {
-			u := c.Units[i]
-			for now := range work[i] {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							me := u.recoverPanic(r, now)
-							me.Unit = i
-							errs[i] = me
-						}
-						wg.Done()
-					}()
-					if errs[i] != nil || u.Done() {
-						return
-					}
-					if err := u.Step(now); err != nil {
-						if me, ok := err.(*MachineError); ok {
-							me.Unit = i
-						}
-						errs[i] = err
-					}
-				}()
-			}
-		}(i)
-	}
-	step = func(now uint64) error {
-		wg.Add(n)
-		for i := range work {
-			work[i] <- now
-		}
-		wg.Wait()
-		// Epoch barrier: grant this cycle's DRAM requests in unit order,
-		// exactly as the sequential schedule would have.
-		for _, u := range c.Units {
-			u.ResolveGrants()
-		}
-		for _, err := range errs { // lowest unit wins, as in sequential order
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	stop = func() {
-		for i := range work {
-			close(work[i])
-		}
-	}
-	return step, stop
 }

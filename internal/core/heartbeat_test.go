@@ -92,8 +92,8 @@ func TestHeartbeatStopsAfterCanceledRun(t *testing.T) {
 }
 
 // TestClusterHeartbeatStopsAfterRun audits the cluster-level
-// heartbeat, whose run loop also manages per-unit worker goroutines —
-// both must be gone when RunContext returns.
+// heartbeat: it must stop firing when RunContext returns, and the run
+// must leave no goroutine behind.
 func TestClusterHeartbeatStopsAfterRun(t *testing.T) {
 	inst, cfg := buildGemm(t)
 	before := runtime.NumGoroutine()

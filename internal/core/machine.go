@@ -211,7 +211,8 @@ func (m *Machine) onConfig(addr uint64) {
 
 // Load prepares the machine to run p. The command stream is round-
 // tripped through the binary ISA encoding, so the machine executes the
-// architecturally encodable program, not arbitrary Go values.
+// architecturally encodable program, not arbitrary Go values. Load and
+// the run only read p, so machines may share one Program.
 func (m *Machine) Load(p *Program) error {
 	if err := p.Err(); err != nil {
 		return err
@@ -423,15 +424,6 @@ func (m *Machine) SchedTickBy() map[string]uint64 {
 		out[c.Name()] += m.kern.TickBy[i]
 	}
 	return out
-}
-
-// ResolveGrants resolves deferred DRAM grants at the cluster's epoch
-// barrier and patches the provisional completion times held by the
-// memory stream engine.
-func (m *Machine) ResolveGrants() {
-	if resolve := m.Sys.ResolveGrants(); resolve != nil {
-		m.mse.ResolveDeferred(resolve)
-	}
 }
 
 // stalled reports whether fault injection freezes engine e this cycle.

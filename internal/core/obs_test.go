@@ -3,8 +3,7 @@
 // its stall attribution must obey two hard properties. Conservation:
 // every component's cause counts sum exactly to the elapsed cycles, on
 // every workload and generated program. Invariance: the metrics dump
-// is byte-identical with idle skip-ahead off and on, and byte-identical
-// between the sequential and parallel cluster schedulers.
+// is byte-identical with idle skip-ahead off and on.
 package core_test
 
 import (
@@ -100,50 +99,6 @@ func TestMetricsWorkloads(t *testing.T) {
 			if plain.Cycles != sOn.Cycles {
 				t.Errorf("enabling metrics changed the simulation: %d cycles plain, %d with metrics",
 					plain.Cycles, sOn.Cycles)
-			}
-		})
-	}
-}
-
-// TestMetricsClusterParSeq runs the DNN layers on the 8-unit cluster
-// under both schedulers with metrics attached: the dumps must be
-// byte-identical, per unit and in total.
-func TestMetricsClusterParSeq(t *testing.T) {
-	cfg := dnn.Config()
-	for _, l := range dnn.Layers()[:2] {
-		l := l
-		t.Run(l.Name, func(t *testing.T) {
-			t.Parallel()
-			inst, err := l.Build(cfg, dnn.Units)
-			if err != nil {
-				t.Fatal(err)
-			}
-			run := func(sequential bool) []byte {
-				cl, err := core.NewCluster(cfg, len(inst.Progs))
-				if err != nil {
-					t.Fatal(err)
-				}
-				cl.Sequential = sequential
-				cl.EnableMetrics(obs.Options{})
-				if inst.Init != nil {
-					inst.Init(cl.Mem)
-				}
-				if _, err := cl.Run(inst.Progs); err != nil {
-					t.Fatalf("sequential=%v: %v", sequential, err)
-				}
-				dump := cl.MetricsDump()
-				if err := obs.CheckConservation(dump); err != nil {
-					t.Fatalf("sequential=%v: %v", sequential, err)
-				}
-				data, err := dump.MarshalIndent()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return data
-			}
-			seq, par := run(true), run(false)
-			if !bytes.Equal(seq, par) {
-				t.Errorf("metrics dump differs between schedulers:\nseq:\n%s\npar:\n%s", seq, par)
 			}
 		})
 	}

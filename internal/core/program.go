@@ -162,9 +162,11 @@ func (p *Program) Assemble() ([]uint64, error) {
 	return isa.EncodeProgram(cmds)
 }
 
-// roundTrip re-encodes and decodes every command, so the machine
-// executes exactly what the binary ISA can express — any drift between
-// a command value and its encoding surfaces as a load-time error.
+// roundTrip re-encodes and decodes every command and checks that each
+// decodes to its own value, so the machine executes exactly what the
+// binary ISA can express — any drift between a command value and its
+// encoding surfaces as a load-time error. It only reads p: one Program
+// may be loaded by several machines at once.
 func (p *Program) roundTrip() error {
 	words, err := p.Assemble()
 	if err != nil {
@@ -175,14 +177,16 @@ func (p *Program) roundTrip() error {
 		return err
 	}
 	i := 0
-	for t := range p.Trace {
-		if p.Trace[t].Cmd == nil {
+	for _, op := range p.Trace {
+		if op.Cmd == nil {
 			continue
 		}
 		if i >= len(decoded) {
 			return fmt.Errorf("program %s: decode lost commands", p.Name)
 		}
-		p.Trace[t].Cmd = decoded[i]
+		if decoded[i] != op.Cmd {
+			return fmt.Errorf("program %s: command %d %v decodes as %v", p.Name, i, op.Cmd, decoded[i])
+		}
 		i++
 	}
 	if i != len(decoded) {

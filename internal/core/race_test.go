@@ -71,3 +71,64 @@ func TestConcurrentMachines(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSharedProgramConcurrentRuns loads one *Program on two machines
+// running in parallel goroutines. Load must only read the program (the
+// ISA round trip lands in machine-owned state), so callers may run a
+// built program set many times at once — the service and sweeps do.
+// Under `go test -race` any write to the shared program is reported.
+func TestSharedProgramConcurrentRuns(t *testing.T) {
+	cfg := DefaultConfig()
+	b := dfg.NewBuilder("shared")
+	a := b.Input("A", 1)
+	v := b.Input("B", 1)
+	b.Output("C", b.N(dfg.Add(64), a.W(0), v.W(0)))
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, aAddr, bAddr, rAddr = 32, 0x1000, 0x2000, 0x3000
+	p := NewProgram(g.Name)
+	p.CompileAndConfigure(cfg.Fabric, g)
+	p.Emit(isa.MemPort{Src: isa.Linear(aAddr, n*8), Dst: p.In("A")})
+	p.Emit(isa.MemPort{Src: isa.Linear(bAddr, n*8), Dst: p.In("B")})
+	p.Emit(isa.PortMem{Src: p.Out("C"), Dst: isa.Linear(rAddr, n*8)})
+	p.Emit(isa.BarrierAll{})
+	if err := p.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	const workers = 2
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			m, err := NewMachine(cfg)
+			if err != nil {
+				errs <- err
+				return
+			}
+			for i := uint64(0); i < n; i++ {
+				m.Sys.Mem.WriteU64(aAddr+8*i, i)
+				m.Sys.Mem.WriteU64(bAddr+8*i, 3*i)
+			}
+			if _, err := m.Run(p); err != nil {
+				errs <- fmt.Errorf("worker %d: %w", w, err)
+				return
+			}
+			for i := uint64(0); i < n; i++ {
+				if got := m.Sys.Mem.ReadU64(rAddr + 8*i); got != 4*i {
+					errs <- fmt.Errorf("worker %d: r[%d] = %d, want %d", w, i, got, 4*i)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

@@ -13,10 +13,11 @@ import (
 // single unit's streams ordered, but a core.Cluster runs several units
 // over one backing memory with no inter-unit ordering primitive at all
 // — units synchronize only when a Run returns, i.e. at pipeline phase
-// boundaries. The parallel scheduler is byte-identical to the
-// sequential one *only because* clustered workloads keep their DRAM
-// footprints disjoint; nothing at runtime verifies that convention, so
-// this pass does, symbolically:
+// boundaries. Units that share bytes within a phase see each other's
+// writes in an order set by the cycle-level schedule, which the
+// modelled hardware does not guarantee; clustered workloads therefore
+// keep their DRAM footprints disjoint. Nothing at runtime verifies
+// that convention, so this pass does, symbolically:
 //
 //	inter-unit-race  two units touch overlapping DRAM bytes anywhere in
 //	                 the pipeline and at least one writes: the verified

@@ -174,8 +174,8 @@ func BarrierCommands(rng *rand.Rand, p Ports) []isa.Command {
 // delta bytes. Scratchpad addresses stay put (each unit owns its
 // scratchpad). Running the same generated program rebased to disjoint
 // regions on each unit of a cluster gives the units disjoint memory
-// footprints — the parallel scheduler's requirement — while keeping
-// their cycle-level behavior identical.
+// footprints — what the cluster linter requires — while keeping their
+// cycle-level behavior identical.
 func Rebase(cmds []isa.Command, delta uint64) []isa.Command {
 	out := make([]isa.Command, len(cmds))
 	for i, c := range cmds {

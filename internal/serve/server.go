@@ -401,14 +401,15 @@ func (s *Server) runFlight(f *flight) {
 }
 
 // finishFlight publishes an outcome: cache deterministic results,
-// retire the singleflight entry, wake the waiters, bump counters.
+// retire the singleflight entry, bump counters, wake the waiters. The
+// counters move before any waiter can answer its client, so a client
+// that has its response never reads counters that miss its run.
 func (s *Server) finishFlight(f *flight, resp *Response, aerr *apiError) {
 	if cacheable(aerr) && !f.req.bypassCache {
 		s.cache.put(f.key, resp, aerr)
 	}
 	s.flights.forget(f.key)
 	s.forgetRun(f)
-	f.finish(resp, aerr)
 	switch {
 	case aerr == nil:
 		s.completed.Add(1)
@@ -417,6 +418,7 @@ func (s *Server) finishFlight(f *flight, resp *Response, aerr *apiError) {
 	default:
 		s.failed.Add(1)
 	}
+	f.finish(resp, aerr)
 }
 
 // registerRun indexes an admitted flight by run ID for /statusz rows
