@@ -9,6 +9,7 @@
 package softbrain_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -58,7 +59,7 @@ func BenchmarkFig11DNN(b *testing.B) {
 			}
 			var cycles uint64
 			for i := 0; i < b.N; i++ {
-				stats, err := inst.RunWarm(cfg)
+				_, stats, err := inst.Run(context.Background(), cfg, true, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -86,7 +87,7 @@ func BenchmarkFig12Perf(b *testing.B) {
 			}
 			var cycles uint64
 			for i := 0; i < b.N; i++ {
-				stats, err := inst.RunWarm(cfg)
+				_, stats, err := inst.Run(context.Background(), cfg, true, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -107,7 +108,7 @@ var (
 )
 
 func study(b *testing.B) []bench.MachRow {
-	studyOnce.Do(func() { studyRows, studyErr = bench.MachSuiteStudy() })
+	studyOnce.Do(func() { studyRows, studyErr = bench.MachSuiteStudy(context.Background()) })
 	if studyErr != nil {
 		b.Fatal(studyErr)
 	}

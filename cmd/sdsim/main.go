@@ -21,7 +21,6 @@ import (
 	"os"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"softbrain/internal/core"
 	"softbrain/internal/faults"
@@ -29,6 +28,7 @@ import (
 	"softbrain/internal/power"
 	"softbrain/internal/sim"
 	"softbrain/internal/workloads"
+	"softbrain/internal/workloads/catalog"
 	"softbrain/internal/workloads/dnn"
 	"softbrain/internal/workloads/ext"
 	"softbrain/internal/workloads/machsuite"
@@ -39,7 +39,7 @@ func main() {
 	scale := flag.Int("scale", 1, "problem scale for MachSuite workloads")
 	warm := flag.Bool("warm", false, "measure a cache-warm (second) run")
 	list := flag.Bool("list", false, "list available workloads")
-	doTrace := flag.Bool("trace", false, "print an execution timeline (single-unit workloads)")
+	doTrace := flag.Bool("trace", false, "print an execution timeline (single-unit workloads, cold run only)")
 	metricsPath := flag.String("metrics", "", "write the metrics dump (stall attribution, counters, per-stream bandwidth) as JSON to this file")
 	traceOut := flag.String("trace-out", "", "write a Chrome/Perfetto trace-event JSON file (load in ui.perfetto.dev)")
 	progress := flag.Duration("progress", 0, "print a heartbeat (cycle, commands, stall mix) to stderr every interval, e.g. 2s")
@@ -72,38 +72,69 @@ func main() {
 		return
 	}
 
-	inst, cfg, units, err := build(*name, *scale)
+	inst, cfg, err := catalog.Build(*name, *scale)
+	if errors.Is(err, catalog.ErrUnknown) {
+		log.Fatalf("%v (see -list)", err)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
+	units := inst.Units()
 	if *faultSpec != "" {
 		fc, err := faults.ParseProfile(*faultSpec)
 		if err != nil {
 			log.Fatal(err)
 		}
 		cfg.Faults = &fc
-		runFaulted(ctx, inst, cfg, units, *warm)
-		return
 	}
-	if *metricsPath != "" || *traceOut != "" || *progress > 0 {
-		if err := runObserved(ctx, inst, cfg, units, *warm, *metricsPath, *traceOut, *progress); err != nil {
-			fail(err)
+
+	// One run per invocation; the mode only decides what is attached
+	// before it and what is reported after it. A fault profile takes
+	// precedence over the observability outputs, and those over -trace.
+	observed := cfg.Faults == nil && (*metricsPath != "" || *traceOut != "" || *progress > 0)
+	traced := cfg.Faults == nil && !observed && *doTrace
+	if traced && units != 1 {
+		usage(fmt.Sprintf("-trace prints a single-unit timeline, but %s runs on %d units (use -trace-out)", inst.Name, units))
+	}
+	if traced && *warm {
+		usage("-trace records the cold run; it cannot be combined with -warm")
+	}
+	var prepare func(*core.Cluster)
+	switch {
+	case observed:
+		prepare = func(cl *core.Cluster) {
+			cl.EnableMetrics(obs.Options{Slices: obs.DefaultSlices})
+			if *traceOut != "" {
+				for _, u := range cl.Units {
+					u.EnableTrace(4096)
+				}
+			}
+			if *progress > 0 {
+				cl.SetHeartbeat(*progress, func(r core.ProgressReport) {
+					fmt.Fprintf(os.Stderr, "sdsim: %s\n", r.Line())
+				})
+			}
 		}
+	case traced:
+		prepare = func(cl *core.Cluster) { cl.Units[0].EnableTrace(4096) }
+	}
+	cl, stats, err := inst.Run(ctx, cfg, *warm, prepare)
+	switch {
+	case cfg.Faults != nil:
+		reportFaulted(inst, cfg, cl, stats, err)
 		return
-	}
-	if *doTrace && units == 1 {
-		if err := runTraced(ctx, inst, cfg); err != nil {
-			fail(err)
-		}
-		return
-	}
-	run := inst.RunContext
-	if *warm {
-		run = inst.RunWarmContext
-	}
-	stats, err := run(ctx, cfg)
-	if err != nil {
+	case err != nil:
 		fail(err)
+	case observed:
+		if err := reportObserved(ctx, inst, cfg, cl, stats, *warm, *metricsPath, *traceOut); err != nil {
+			fail(err)
+		}
+		return
+	case traced:
+		// The Figure 4(b)-style Gantt chart of the unit's timeline.
+		fmt.Printf("%s: verified OK, %d cycles\n\n", inst.Name, stats.Cycles)
+		fmt.Print(cl.Units[0].Trace().Gantt(100))
+		return
 	}
 
 	model := power.NewModel(cfg)
@@ -143,90 +174,48 @@ func fail(err error) {
 	log.Fatal(err)
 }
 
-// runFaulted executes the instance under a fault profile, mirroring
-// Instance.Run but keeping the cluster so the delivered-fault counts
-// can be reported. Corrupting profiles may legitimately end in a
+// usage reports a flag combination sdsim cannot honour and exits 2,
+// like a flag parse error.
+func usage(msg string) {
+	fmt.Fprintf(os.Stderr, "sdsim: %s\n", msg)
+	flag.Usage()
+	os.Exit(2)
+}
+
+// reportFaulted reports a run under a fault profile with the
+// delivered-fault counts. Corrupting profiles may legitimately end in a
 // verification mismatch or a classified hang; both are reported as
 // structured errors, never a panic.
-func runFaulted(ctx context.Context, inst *workloads.Instance, cfg core.Config, units int, warm bool) {
-	cl, err := core.NewCluster(cfg, inst.Units())
-	if err != nil {
-		log.Fatal(err)
-	}
-	if inst.Init != nil {
-		inst.Init(cl.Mem)
-	}
-	runs := 1
-	if warm {
-		runs = 2
-	}
-	var stats *core.Stats
-	for i := 0; i < runs; i++ {
-		if stats, err = cl.RunContext(ctx, inst.Progs); err != nil {
-			fmt.Fprintf(os.Stderr, "sdsim: faults delivered: %v\n", cl.FaultStats())
-			fail(err)
-		}
-	}
+func reportFaulted(inst *workloads.Instance, cfg core.Config, cl *core.Cluster, stats *core.Stats, err error) {
 	verdict := "verified OK"
-	if inst.Check != nil {
-		if cerr := inst.Check(cl.Mem); cerr != nil {
-			if !cfg.Faults.Corrupting() {
-				fmt.Fprintf(os.Stderr, "sdsim: faults delivered: %v\n", cl.FaultStats())
-				log.Fatalf("non-corrupting faults changed the output: %v", cerr)
-			}
-			verdict = fmt.Sprintf("output corrupted (expected under bitflips): %v", cerr)
+	var ce *workloads.CheckError
+	switch {
+	case errors.As(err, &ce) && cfg.Faults.Corrupting():
+		verdict = fmt.Sprintf("output corrupted (expected under bitflips): %v", ce.Err)
+	case err != nil:
+		if cl != nil {
+			fmt.Fprintf(os.Stderr, "sdsim: faults delivered: %v\n", cl.FaultStats())
 		}
+		if ce != nil {
+			log.Fatalf("non-corrupting faults changed the output: %v", ce.Err)
+		}
+		fail(err)
 	}
-	fmt.Printf("%s: %s on %d unit(s) under faults\n", inst.Name, verdict, units)
+	fmt.Printf("%s: %s on %d unit(s) under faults\n", inst.Name, verdict, inst.Units())
 	fmt.Printf("cycles: %d\n", stats.Cycles)
 	fmt.Printf("faults delivered: %v\n", cl.FaultStats())
 }
 
-// runObserved executes the instance with the observability layer
-// attached: the metrics registry (stall attribution, counters, stream
-// bandwidth), optionally the span recorder feeding the Perfetto
-// export, and optionally the heartbeat. Mirrors Instance.Run but keeps
-// the cluster so the collected metrics can be exported.
-func runObserved(ctx context.Context, inst *workloads.Instance, cfg core.Config, units int, warm bool,
-	metricsPath, tracePath string, progress time.Duration) error {
-	cl, err := core.NewCluster(cfg, inst.Units())
-	if err != nil {
-		return err
-	}
-	cl.EnableMetrics(obs.Options{Slices: obs.DefaultSlices})
-	if tracePath != "" {
-		for _, u := range cl.Units {
-			u.EnableTrace(4096)
-		}
-	}
-	if progress > 0 {
-		cl.SetHeartbeat(progress, func(r core.ProgressReport) {
-			fmt.Fprintf(os.Stderr, "sdsim: %s\n", r.Line())
-		})
-	}
-	if inst.Init != nil {
-		inst.Init(cl.Mem)
-	}
-	runs := 1
-	if warm {
-		runs = 2
-	}
-	var stats *core.Stats
-	for i := 0; i < runs; i++ {
-		if stats, err = cl.RunContext(ctx, inst.Progs); err != nil {
-			return err
-		}
-	}
-	if inst.Check != nil {
-		if err := inst.Check(cl.Mem); err != nil {
-			return err
-		}
-	}
+// reportObserved exports what the observability layer collected during
+// the run on cl: the stall attribution and stream bandwidth table, the
+// metrics dump file, and the Perfetto trace.
+func reportObserved(ctx context.Context, inst *workloads.Instance, cfg core.Config, cl *core.Cluster, stats *core.Stats, warm bool,
+	metricsPath, tracePath string) error {
 	dump := cl.MetricsDump()
 	if err := obs.CheckConservation(dump); err != nil {
 		return fmt.Errorf("stall attribution broke conservation: %w", err)
 	}
-	fmt.Printf("%s: verified OK on %d unit(s), %d cycles\n\n", inst.Name, units, stats.Cycles)
+	fmt.Printf("%s: verified OK on %d unit(s), %d cycles\n\n", inst.Name, inst.Units(), stats.Cycles)
 	peak := float64(cfg.Mem.LineBytes) / float64(cfg.Mem.MissInterval)
 	fmt.Print(obs.BandwidthTable(dump, peak))
 	// The wake-set scheduler's own counters come from a separate run:
@@ -235,16 +224,14 @@ func runObserved(ctx context.Context, inst *workloads.Instance, cfg core.Config,
 	// show what the event-driven scheduler does by default. The extra
 	// run doubles as an equivalence check on its cycle count.
 	if metricsPath != "" {
-		sStats, sched, tickBy, err := inst.RunSchedContext(ctx, cfg)
+		sCl, sStats, err := inst.Run(ctx, cfg, false, nil)
 		if err != nil {
 			return err
 		}
 		if !warm && sStats.Cycles != stats.Cycles {
 			return fmt.Errorf("event-driven run changed the cycle count (%d -> %d)", stats.Cycles, sStats.Cycles)
 		}
-		printSched(sched, tickBy, units)
-	}
-	if metricsPath != "" {
+		printSched(sCl.SchedStats(), sCl.SchedTickBy(), inst.Units())
 		data, err := dump.MarshalIndent()
 		if err != nil {
 			return err
@@ -310,48 +297,4 @@ func printSched(s sim.SchedStats, by map[string]uint64, units int) {
 		}
 		fmt.Println()
 	}
-}
-
-// runTraced executes a single-unit instance with the timeline recorder
-// attached and prints the Figure 4(b)-style Gantt chart.
-func runTraced(ctx context.Context, inst *workloads.Instance, cfg core.Config) error {
-	m, err := core.NewMachine(cfg)
-	if err != nil {
-		return err
-	}
-	if inst.Init != nil {
-		inst.Init(m.Sys.Mem)
-	}
-	m.EnableTrace(4096)
-	stats, err := m.RunContext(ctx, inst.Progs[0])
-	if err != nil {
-		return err
-	}
-	if inst.Check != nil {
-		if err := inst.Check(m.Sys.Mem); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("%s: verified OK, %d cycles\n\n", inst.Name, stats.Cycles)
-	fmt.Print(m.Trace().Gantt(100))
-	return nil
-}
-
-func build(name string, scale int) (*workloads.Instance, core.Config, int, error) {
-	if l, err := dnn.Find(name); err == nil {
-		cfg := dnn.Config()
-		inst, err := l.Build(cfg, dnn.Units)
-		return inst, cfg, dnn.Units, err
-	}
-	cfg := core.DefaultConfig()
-	if e, err := machsuite.Find(name); err == nil {
-		inst, err := e.Build(cfg, scale)
-		return inst, cfg, 1, err
-	}
-	e, err := ext.Find(name)
-	if err != nil {
-		return nil, core.Config{}, 0, fmt.Errorf("unknown workload %q (see -list)", name)
-	}
-	inst, err := e.Build(cfg, scale)
-	return inst, cfg, 1, err
 }

@@ -38,13 +38,9 @@ var ablationWorkloads = []string{"spmv-crs", "stencil2d", "gemm", "md-knn"}
 
 // Ablations measures each feature's contribution on the sensitive
 // MachSuite kernels. Rows report warm-run cycles; higher than Baseline
-// means the feature was load-bearing.
-func Ablations() ([]AblationRow, error) {
-	return AblationsContext(context.Background())
-}
-
-// AblationsContext is Ablations bounded by a context (sdbench -timeout).
-func AblationsContext(ctx context.Context) ([]AblationRow, error) {
+// means the feature was load-bearing. The context bounds the whole
+// study (sdbench -timeout).
+func Ablations(ctx context.Context) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, name := range ablationWorkloads {
 		e, err := machsuite.Find(name)
@@ -120,14 +116,11 @@ func halfDepthFabric(f *cgra.Fabric) *cgra.Fabric {
 	return &g
 }
 
-// runAblation runs warm and tolerates deadlocks (an ablated machine may
-// legitimately deadlock; report max cycles instead of failing).
+// runAblation runs the instance and tolerates deadlocks (an ablated
+// machine may legitimately deadlock; report max cycles instead of
+// failing).
 func runAblation(ctx context.Context, inst *workloads.Instance, cfg core.Config, warm bool) (*core.Stats, error) {
-	run := inst.RunContext
-	if warm {
-		run = inst.RunWarmContext
-	}
-	stats, err := run(ctx, cfg)
+	_, stats, err := inst.Run(ctx, cfg, warm, nil)
 	if err != nil {
 		var dl *core.DeadlockError
 		if errors.As(err, &dl) {

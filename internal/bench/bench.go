@@ -93,13 +93,8 @@ type Fig11Row struct {
 
 // Fig11 runs all ten DNN layers on the 8-unit cluster and compares
 // against the analytic CPU, GPU and DianNao models. The final row is the
-// geometric mean.
-func Fig11() ([]Fig11Row, error) {
-	return Fig11Context(context.Background())
-}
-
-// Fig11Context is Fig11 bounded by a context (sdbench -timeout).
-func Fig11Context(ctx context.Context) ([]Fig11Row, error) {
+// geometric mean. The context bounds the whole study (sdbench -timeout).
+func Fig11(ctx context.Context) ([]Fig11Row, error) {
 	cfg := dnn.Config()
 	cpu := baseline.SingleThreadCPU()
 	gpu := baseline.KeplerGPU()
@@ -113,9 +108,9 @@ func Fig11Context(ctx context.Context) ([]Fig11Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		stats, err := inst.RunWarmContext(ctx, cfg)
+		_, stats, err := inst.Run(ctx, cfg, true, nil)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("bench: running %s: %w", l.Name, err)
 		}
 		cpuNS := cpu.TimeNS(inst.Profile)
 		sbNS := float64(stats.Cycles) / power.FreqGHz
@@ -202,14 +197,9 @@ var machScale = map[string]int{
 
 // MachSuiteStudy runs every implemented workload on the broadly
 // provisioned Softbrain, generates its iso-performance ASIC, and
-// produces the rows behind Figures 12-15, ending with the GM row.
-func MachSuiteStudy() ([]MachRow, error) {
-	return MachSuiteStudyContext(context.Background())
-}
-
-// MachSuiteStudyContext is MachSuiteStudy bounded by a context
-// (sdbench -timeout).
-func MachSuiteStudyContext(ctx context.Context) ([]MachRow, error) {
+// produces the rows behind Figures 12-15, ending with the GM row. The
+// context bounds the whole study (sdbench -timeout).
+func MachSuiteStudy(ctx context.Context) ([]MachRow, error) {
 	cfg := core.DefaultConfig()
 	model := power.NewModel(cfg)
 	ooo := baseline.OOO4()
@@ -226,7 +216,7 @@ func MachSuiteStudyContext(ctx context.Context) ([]MachRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: building %s: %w", e.Name, err)
 		}
-		stats, err := inst.RunWarmContext(ctx, cfg)
+		_, stats, err := inst.Run(ctx, cfg, true, nil)
 		if err != nil {
 			return nil, fmt.Errorf("bench: running %s: %w", e.Name, err)
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -64,7 +65,7 @@ func TestFig11Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full DNN study")
 	}
-	rows, err := Fig11()
+	rows, err := Fig11(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestMachSuiteStudyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full MachSuite study")
 	}
-	rows, err := MachSuiteStudy()
+	rows, err := MachSuiteStudy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation study")
 	}
-	rows, err := Ablations()
+	rows, err := Ablations(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestAblations(t *testing.T) {
 // improvements), and must actually win — fewer total cycles and fewer
 // barrier-drain stall cycles — on at least two workloads.
 func TestFixStudyPlacement(t *testing.T) {
-	rows, err := FixStudy()
+	rows, err := FixStudy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,13 +54,9 @@ var fixStudyWorkloads = []struct{ suite, name string }{
 }
 
 // FixStudy measures the cost of over-serialization and how much of it
-// the barrier-elimination pass recovers.
-func FixStudy() ([]FixRow, error) {
-	return FixStudyContext(context.Background())
-}
-
-// FixStudyContext is FixStudy bounded by a context (sdbench -timeout).
-func FixStudyContext(ctx context.Context) ([]FixRow, error) {
+// the barrier-elimination pass recovers. The context bounds the whole
+// study (sdbench -timeout).
+func FixStudy(ctx context.Context) ([]FixRow, error) {
 	var rows []FixRow
 	for _, w := range fixStudyWorkloads {
 		cfg := core.DefaultConfig()
@@ -106,11 +102,11 @@ func FixStudyContext(ctx context.Context) ([]FixRow, error) {
 			{serialized, &row.SerializedCy},
 			{fixed, &row.FixedCy},
 		} {
-			cy, err := runCycles(ctx, inst, cfg, m.progs)
+			_, stats, err := withProgs(inst, m.progs).Run(ctx, cfg, false, nil)
 			if err != nil {
 				return nil, fmt.Errorf("bench: fix study %s: %w", w.name, err)
 			}
-			*m.out = cy
+			*m.out = stats.Cycles
 		}
 		if err := placementStudy(ctx, inst, cfg, fixed, &row); err != nil {
 			return nil, fmt.Errorf("bench: fix study %s: %w", w.name, err)
@@ -136,10 +132,11 @@ func placementStudy(ctx context.Context, inst *workloads.Instance, cfg core.Conf
 		}
 		latest[i] = q
 	}
-	lStats, dump, err := runMetrics(ctx, inst, cfg, latest)
+	lCl, lStats, err := withProgs(inst, latest).Run(ctx, cfg, false, enableMetrics)
 	if err != nil {
 		return err
 	}
+	dump := lCl.MetricsDump()
 	row.LatestCy, row.LatestDrain = lStats.Cycles, lStats.BarrierCycles
 
 	hoisted := make([]*core.Program, len(latest))
@@ -154,7 +151,11 @@ func placementStudy(ctx context.Context, inst *workloads.Instance, cfg core.Conf
 			trial := make([]*core.Program, len(hoisted))
 			copy(trial, hoisted)
 			trial[idx] = cand
-			return runCycles(ctx, inst, cfg, trial)
+			_, stats, err := withProgs(inst, trial).Run(ctx, cfg, false, nil)
+			if err != nil {
+				return 0, err
+			}
+			return stats.Cycles, nil
 		}
 		q, moves, err := fix.HoistBarriers(latest[i], cfg, fix.HoistOpts{Profile: pr, Evaluate: evaluate})
 		if err != nil {
@@ -173,7 +174,7 @@ func placementStudy(ctx context.Context, inst *workloads.Instance, cfg core.Conf
 		hoisted[i] = q
 		row.Hoists += len(moves)
 	}
-	hStats, _, err := runMetrics(ctx, inst, cfg, hoisted)
+	_, hStats, err := withProgs(inst, hoisted).Run(ctx, cfg, false, enableMetrics)
 	if err != nil {
 		return err
 	}
@@ -197,50 +198,16 @@ func serialize(p *core.Program) *core.Program {
 	return q
 }
 
-// runCycles runs the instance's data against the given program set on a
-// fresh cluster, verifies the golden check still passes, and reports
-// the run's cycles. Runs are cold: some study workloads (backprop)
-// update their inputs in place, so a warm re-run would not verify.
-func runCycles(ctx context.Context, inst *workloads.Instance, cfg core.Config, progs []*core.Program) (uint64, error) {
-	cl, err := core.NewCluster(cfg, len(progs))
-	if err != nil {
-		return 0, err
-	}
-	if inst.Init != nil {
-		inst.Init(cl.Mem)
-	}
-	stats, err := cl.RunContext(ctx, progs)
-	if err != nil {
-		return 0, err
-	}
-	if inst.Check != nil {
-		if err := inst.Check(cl.Mem); err != nil {
-			return 0, err
-		}
-	}
-	return stats.Cycles, nil
+// withProgs is inst running the given program set in place of its
+// own: the same input image and golden check. Fix-study runs are cold:
+// some study workloads (backprop) update their inputs in place, so a
+// warm re-run would not verify.
+func withProgs(inst *workloads.Instance, progs []*core.Program) *workloads.Instance {
+	alt := *inst
+	alt.Progs = progs
+	return &alt
 }
 
-// runMetrics is runCycles with per-unit metrics enabled, returning the
-// full run stats and the merged dump (the barrier_drains sections feed
-// the cost-aware chooser).
-func runMetrics(ctx context.Context, inst *workloads.Instance, cfg core.Config, progs []*core.Program) (*core.Stats, obs.Dump, error) {
-	cl, err := core.NewCluster(cfg, len(progs))
-	if err != nil {
-		return nil, obs.Dump{}, err
-	}
-	cl.EnableMetrics(obs.Options{})
-	if inst.Init != nil {
-		inst.Init(cl.Mem)
-	}
-	stats, err := cl.RunContext(ctx, progs)
-	if err != nil {
-		return nil, obs.Dump{}, err
-	}
-	if inst.Check != nil {
-		if err := inst.Check(cl.Mem); err != nil {
-			return nil, obs.Dump{}, err
-		}
-	}
-	return stats, cl.MetricsDump(), nil
-}
+// enableMetrics attaches the per-unit metrics registries whose
+// barrier_drains sections feed the cost-aware chooser.
+func enableMetrics(cl *core.Cluster) { cl.EnableMetrics(obs.Options{}) }

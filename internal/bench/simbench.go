@@ -197,23 +197,16 @@ func simSuite() []simEntry {
 // the smoke slice): each workload runs once with skip-ahead disabled
 // and once enabled, wall-clocked. The simulated cycle counts must agree
 // or the row is an error — this doubles as an end-to-end equivalence
-// check on every benchmarked workload.
-func SimBench(smokeOnly bool) ([]SimRow, error) {
-	return SimBenchContext(context.Background(), smokeOnly)
-}
-
-// SimBenchContext is SimBench bounded by a context (sdbench -timeout).
-func SimBenchContext(ctx context.Context, smokeOnly bool) ([]SimRow, error) {
-	return SimBenchHeartbeatContext(ctx, smokeOnly, 0, nil)
-}
-
-// SimBenchHeartbeatContext is SimBenchContext with a progress heartbeat
-// (sdbench -progress): when hb is non-nil it is attached to every timed
-// simulation and fires from inside the run loop at most every `every`,
-// carrying the workload's name. The callback executes on the
-// simulator's critical path, so the measured host timings include its
-// (small) cost; simulated cycle counts are unaffected by contract.
-func SimBenchHeartbeatContext(ctx context.Context, smokeOnly bool, every time.Duration, hb func(workload string, r core.ProgressReport)) ([]SimRow, error) {
+// check on every benchmarked workload. The context bounds the whole
+// suite (sdbench -timeout).
+//
+// A non-nil hb is a progress heartbeat (sdbench -progress): it is
+// attached to every timed simulation and fires from inside the run loop
+// at most every `every`, carrying the workload's name. The callback
+// executes on the simulator's critical path, so the measured host
+// timings include its (small) cost; simulated cycle counts are
+// unaffected by contract.
+func SimBench(ctx context.Context, smokeOnly bool, every time.Duration, hb func(workload string, r core.ProgressReport)) ([]SimRow, error) {
 	var rows []SimRow
 	for _, e := range simSuite() {
 		if smokeOnly && !e.smoke {
@@ -250,7 +243,7 @@ func SimBenchHeartbeatContext(ctx context.Context, smokeOnly bool, every time.Du
 				}
 				cfg.NoSkipAhead = noSkip
 				start := time.Now()
-				stats, err := inst.RunPreparedContext(ctx, cfg, prep)
+				_, stats, err := inst.Run(ctx, cfg, false, prep)
 				if err != nil {
 					return 0, 0, err
 				}
@@ -296,10 +289,11 @@ func SimBenchHeartbeatContext(ctx context.Context, smokeOnly bool, every time.Du
 		// One extra, untimed run with the observability layer attached
 		// fills the stall and bandwidth columns. Its cycle count must
 		// agree — metrics are read-only by contract.
-		mStats, dump, err := inst.RunMetricsContext(ctx, cfg, obs.Options{})
+		mCl, mStats, err := inst.Run(ctx, cfg, false, func(cl *core.Cluster) { cl.EnableMetrics(obs.Options{}) })
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s (metrics): %w", e.name, err)
 		}
+		dump := mCl.MetricsDump()
 		if mStats.Cycles != onCycles {
 			return nil, fmt.Errorf("bench: %s: enabling metrics changed the cycle count (%d -> %d)",
 				e.name, onCycles, mStats.Cycles)
@@ -339,7 +333,7 @@ func SimBenchHeartbeatContext(ctx context.Context, smokeOnly bool, every time.Du
 		if err != nil {
 			return nil, err
 		}
-		sStats, sched, tickBy, err := sInst.RunSchedContext(ctx, sCfg)
+		sCl, sStats, err := sInst.Run(ctx, sCfg, false, nil)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s (sched): %w", e.name, err)
 		}
@@ -347,7 +341,7 @@ func SimBenchHeartbeatContext(ctx context.Context, smokeOnly bool, every time.Du
 			return nil, fmt.Errorf("bench: %s: sched-counter run changed the cycle count (%d -> %d)",
 				e.name, onCycles, sStats.Cycles)
 		}
-		row.Sched = newSchedSummary(sched, tickBy)
+		row.Sched = newSchedSummary(sCl.SchedStats(), sCl.SchedTickBy())
 		rows = append(rows, row)
 	}
 	if len(rows) > 0 {
@@ -356,7 +350,7 @@ func SimBenchHeartbeatContext(ctx context.Context, smokeOnly bool, every time.Du
 	return rows, nil
 }
 
-// GeomeanWorkload names the aggregate row SimBenchContext appends: the
+// GeomeanWorkload names the aggregate row SimBench appends: the
 // geometric mean of the per-workload host-performance figures. Its
 // Cycles field is zero, which excludes it from the cycle goldens.
 const GeomeanWorkload = "geomean"

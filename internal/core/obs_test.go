@@ -8,6 +8,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -67,10 +68,11 @@ func TestMetricsWorkloads(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				stats, dump, err := inst.RunMetrics(cfg, obs.Options{})
+				cl, stats, err := inst.Run(context.Background(), cfg, false, func(cl *core.Cluster) { cl.EnableMetrics(obs.Options{}) })
 				if err != nil {
 					t.Fatal(err)
 				}
+				dump := cl.MetricsDump()
 				if err := obs.CheckConservation(dump); err != nil {
 					t.Fatalf("noSkip=%v: %v", noSkip, err)
 				}
@@ -92,7 +94,7 @@ func TestMetricsWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := inst.Run(b.cfg)
+			_, plain, err := inst.Run(context.Background(), b.cfg, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,6 +7,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -58,7 +59,7 @@ func TestSkipAheadWorkloads(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				stats, err := inst.Run(cfg)
+				_, stats, err := inst.Run(context.Background(), cfg, false, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -116,10 +117,10 @@ func TestSkipAheadExamples(t *testing.T) {
 	}
 }
 
-// runTraced runs p on a fresh machine with tracing and metrics
+// runWithTrace runs p on a fresh machine with tracing and metrics
 // enabled and the memory pools seeded deterministically, returning the
 // machine and statistics.
-func runTraced(t *testing.T, cfg core.Config, p *core.Program, seed int64) (*core.Machine, *core.Stats) {
+func runWithTrace(t *testing.T, cfg core.Config, p *core.Program, seed int64) (*core.Machine, *core.Stats) {
 	t.Helper()
 	m, err := core.NewMachine(cfg)
 	if err != nil {
@@ -182,8 +183,8 @@ func TestSkipAheadTraces(t *testing.T) {
 
 		offCfg, onCfg := cfg, cfg
 		offCfg.NoSkipAhead = true
-		mOff, sOff := runTraced(t, offCfg, fixed, seed)
-		mOn, sOn := runTraced(t, onCfg, fixed, seed)
+		mOff, sOff := runWithTrace(t, offCfg, fixed, seed)
+		mOn, sOn := runWithTrace(t, onCfg, fixed, seed)
 		skipped += mOn.SkippedCycles()
 
 		if !reflect.DeepEqual(sOff, sOn) {
@@ -243,7 +244,7 @@ func TestSkipAheadUnderFaults(t *testing.T) {
 					c := cfg
 					c.NoSkipAhead = noSkip
 					c.Faults = &fc
-					m, s := runTraced(t, c, fixed, seed)
+					m, s := runWithTrace(t, c, fixed, seed)
 					return m, s, m.FaultStats()
 				}
 				mOff, sOff, fOff := run(true)

@@ -214,7 +214,7 @@ func TestSpanEquivalenceSeeds(t *testing.T) {
 
 		var dumpRef []byte
 		for mode := range schedModes {
-			m, _ := runTraced(t, applyMode(cfg, mode), fixed, seed)
+			m, _ := runWithTrace(t, applyMode(cfg, mode), fixed, seed)
 			dump := metricsDump(t, m)
 			if mode == 0 {
 				dumpRef = dump

@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -23,10 +24,11 @@ func TestWritePrometheusRealDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dump, err := inst.RunMetrics(cfg, obs.Options{})
+	cl, _, err := inst.Run(context.Background(), cfg, false, func(cl *core.Cluster) { cl.EnableMetrics(obs.Options{}) })
 	if err != nil {
 		t.Fatal(err)
 	}
+	dump := cl.MetricsDump()
 
 	var buf bytes.Buffer
 	if err := obs.WritePrometheus(&buf, dump); err != nil {

@@ -17,9 +17,7 @@ import (
 	"softbrain/internal/obs"
 	"softbrain/internal/wire"
 	"softbrain/internal/workloads"
-	"softbrain/internal/workloads/dnn"
-	"softbrain/internal/workloads/ext"
-	"softbrain/internal/workloads/machsuite"
+	"softbrain/internal/workloads/catalog"
 )
 
 // Request is one simulation submission: either a named built-in
@@ -132,12 +130,13 @@ func errBody(e *apiError) ErrorBody {
 // isolation boundary.
 var testHookExecute func(*runRequest)
 
-// runRequest is a validated, executable submission.
+// runRequest is a validated, executable submission. A raw program
+// becomes a one-unit instance with no input image and no golden model.
 type runRequest struct {
 	name    string
-	scale   int                 // named-workload problem scale
-	inst    *workloads.Instance // named-workload path
-	prog    *core.Program       // raw-program path
+	scale   int  // named-workload problem scale
+	wire    bool // raw-program submission: keyed by its wire re-encoding
+	inst    *workloads.Instance
 	cfg     core.Config
 	opts    RunOptions
 	timeout time.Duration
@@ -182,14 +181,17 @@ func (s *Server) decodeRequest(body []byte) (*runRequest, *apiError) {
 		if err != nil {
 			return nil, &apiError{Status: 400, Kind: KindInvalid, Msg: err.Error()}
 		}
-		rr.name, rr.prog, rr.cfg = prog.Name, prog, cfg
+		rr.name, rr.wire, rr.cfg = prog.Name, true, cfg
+		rr.inst = &workloads.Instance{Name: prog.Name, Progs: []*core.Program{prog}}
 		return rr, applyFaults(&req, rr)
 	}
 
-	if req.Scale == 0 {
-		req.Scale = 1 // normalized before keying: scale 0 and 1 are the same content
+	// Normalized before keying: scale 0 and 1 are the same content.
+	scale, err := catalog.Scale(req.Scale)
+	if err != nil {
+		return nil, &apiError{Status: 404, Kind: KindUnknown, Msg: err.Error()}
 	}
-	inst, cfg, err := buildWorkload(req.Workload, req.Scale)
+	inst, cfg, err := catalog.Build(req.Workload, scale)
 	if err != nil {
 		return nil, &apiError{Status: 404, Kind: KindUnknown, Msg: err.Error()}
 	}
@@ -205,13 +207,12 @@ func (s *Server) decodeRequest(body []byte) (*runRequest, *apiError) {
 			return nil, &apiError{Status: 400, Kind: KindInvalid, Msg: kerr.Error()}
 		}
 		cfg.WatchdogCycles = knobs.WatchdogCycles
-		cfg.NoSkipAhead = knobs.NoSkipAhead
 		cfg.Faults = knobs.Faults
 		if verr := cfg.Validate(); verr != nil {
 			return nil, &apiError{Status: 400, Kind: KindInvalid, Msg: verr.Error()}
 		}
 	}
-	rr.name, rr.scale, rr.inst, rr.cfg = inst.Name, req.Scale, inst, cfg
+	rr.name, rr.scale, rr.inst, rr.cfg = inst.Name, scale, inst, cfg
 	return rr, applyFaults(&req, rr)
 }
 
@@ -254,34 +255,6 @@ func drawSeed() int64 {
 	return seed
 }
 
-// buildWorkload resolves a named built-in workload exactly as sdsim
-// does: DNN layers on the 8-unit DNN cluster, MachSuite and extension
-// codes on the broadly provisioned single unit.
-func buildWorkload(name string, scale int) (*workloads.Instance, core.Config, error) {
-	if scale == 0 {
-		scale = 1
-	}
-	if scale < 1 || scale > 8 {
-		return nil, core.Config{}, fmt.Errorf("scale %d out of range [1, 8]", scale)
-	}
-	if l, err := dnn.Find(name); err == nil {
-		cfg := dnn.Config()
-		inst, err := l.Build(cfg, dnn.Units)
-		return inst, cfg, err
-	}
-	cfg := core.DefaultConfig()
-	if e, err := machsuite.Find(name); err == nil {
-		inst, err := e.Build(cfg, scale)
-		return inst, cfg, err
-	}
-	e, err := ext.Find(name)
-	if err != nil {
-		return nil, core.Config{}, fmt.Errorf("unknown workload %q", name)
-	}
-	inst, err := e.Build(cfg, scale)
-	return inst, cfg, err
-}
-
 // cacheKey is the content address of a submission: the SHA-256 of the
 // canonical re-encoding of everything that determines the result. For
 // a raw program that is the wire re-encoding of the decoded program
@@ -293,8 +266,8 @@ func buildWorkload(name string, scale int) (*workloads.Instance, core.Config, er
 func (rr *runRequest) cacheKey() (string, error) {
 	h := sha256.New()
 	enc := json.NewEncoder(h)
-	if rr.prog != nil {
-		wp, err := wire.FromProgram(rr.prog)
+	if rr.wire {
+		wp, err := wire.FromProgram(rr.inst.Progs[0])
 		if err != nil {
 			return "", err
 		}
@@ -304,8 +277,8 @@ func (rr *runRequest) cacheKey() (string, error) {
 	} else {
 		fmt.Fprintf(h, "workload=%s scale=%d\n", rr.name, rr.scale)
 	}
-	fmt.Fprintf(h, "watchdog=%d noskip=%v warm=%v metrics=%v trace=%v\n",
-		rr.cfg.WatchdogCycles, rr.cfg.NoSkipAhead, rr.opts.Warm, rr.opts.Metrics, rr.opts.Trace)
+	fmt.Fprintf(h, "watchdog=%d warm=%v metrics=%v trace=%v\n",
+		rr.cfg.WatchdogCycles, rr.opts.Warm, rr.opts.Metrics, rr.opts.Trace)
 	if rr.cfg.Faults != nil {
 		if err := enc.Encode(rr.cfg.Faults); err != nil {
 			return "", err
@@ -331,96 +304,52 @@ func cacheable(err *apiError) bool {
 // execute runs one validated submission under its flight context and
 // classifies the outcome. It never panics: simulation invariants are
 // recovered inside core, and the worker loop recovers anything else.
+// A golden mismatch fails the run, except under a corrupting fault
+// profile, where it is the expected fault effect: the run then reports
+// verified false. options.warm applies to named workloads only; a raw
+// program is measured on its one run.
 func (s *Server) execute(ctx context.Context, f *flight) (*Response, *apiError) {
 	rr := f.req
 	if testHookExecute != nil {
 		testHookExecute(rr)
 	}
 	start := time.Now()
-	resp := &Response{Name: rr.name, Units: 1, FaultSeed: rr.faultSeed}
-
-	var stats *core.Stats
-	var err error
-	switch {
-	case rr.inst != nil:
-		resp.Units = rr.inst.Units()
-		stats, err = s.executeInstance(ctx, f, rr, resp)
-	default:
-		stats, err = s.executeProgram(ctx, f, rr, resp)
+	warm := rr.opts.Warm && !rr.wire
+	cl, stats, err := rr.inst.Run(ctx, rr.cfg, warm, func(cl *core.Cluster) {
+		s.installHeartbeat(cl, f)
+		if rr.opts.Metrics || rr.opts.Trace {
+			cl.EnableMetrics(obs.Options{Slices: obs.DefaultSlices})
+		}
+		if rr.opts.Trace {
+			for _, u := range cl.Units {
+				u.EnableTrace(4096)
+			}
+		}
+	})
+	var ce *workloads.CheckError
+	if errors.As(err, &ce) {
+		if rr.cfg.Faults == nil || !rr.cfg.Faults.Corrupting() {
+			return nil, &apiError{Status: 422, Kind: KindVerify, Msg: ce.Err.Error()}
+		}
+		err = nil
 	}
 	if err != nil {
 		return nil, classify(err)
 	}
-	resp.Cycles = stats.Cycles
-	resp.Stats = stats
+	resp := &Response{
+		Name:      rr.name,
+		Units:     rr.inst.Units(),
+		Cycles:    stats.Cycles,
+		Verified:  rr.inst.Check != nil && ce == nil,
+		Stats:     stats,
+		FaultSeed: rr.faultSeed,
+	}
+	s.recordRun(cl, stats)
+	if err := s.attachObs(cl, stats, rr, resp); err != nil {
+		return nil, classify(err)
+	}
 	resp.SimMS = float64(time.Since(start).Microseconds()) / 1e3
 	return resp, nil
-}
-
-// executeInstance runs a named workload, verifying against the golden
-// model (except under corrupting fault profiles, where a mismatch is
-// the expected fault effect, not an error).
-func (s *Server) executeInstance(ctx context.Context, f *flight, rr *runRequest, resp *Response) (*core.Stats, error) {
-	inst := rr.inst
-	cl, err := core.NewCluster(rr.cfg, inst.Units())
-	if err != nil {
-		return nil, err
-	}
-	s.installHeartbeat(cl, f)
-	if rr.opts.Metrics || rr.opts.Trace {
-		cl.EnableMetrics(obs.Options{Slices: obs.DefaultSlices})
-	}
-	if rr.opts.Trace {
-		for _, u := range cl.Units {
-			u.EnableTrace(4096)
-		}
-	}
-	if inst.Init != nil {
-		inst.Init(cl.Mem)
-	}
-	runs := 1
-	if rr.opts.Warm {
-		runs = 2
-	}
-	var stats *core.Stats
-	for i := 0; i < runs; i++ {
-		if stats, err = cl.RunContext(ctx, inst.Progs); err != nil {
-			return nil, err
-		}
-	}
-	if inst.Check != nil {
-		if cerr := inst.Check(cl.Mem); cerr != nil {
-			if rr.cfg.Faults == nil || !rr.cfg.Faults.Corrupting() {
-				return nil, &apiError{Status: 422, Kind: KindVerify, Msg: cerr.Error()}
-			}
-		} else {
-			resp.Verified = true
-		}
-	}
-	s.recordRun(cl, stats)
-	return stats, s.attachObs(cl, stats, rr, resp)
-}
-
-// executeProgram runs a raw single-unit program submission. There is
-// no golden model; the deliverables are stats, metrics, and trace.
-func (s *Server) executeProgram(ctx context.Context, f *flight, rr *runRequest, resp *Response) (*core.Stats, error) {
-	cl, err := core.NewCluster(rr.cfg, 1)
-	if err != nil {
-		return nil, err
-	}
-	s.installHeartbeat(cl, f)
-	if rr.opts.Metrics || rr.opts.Trace {
-		cl.EnableMetrics(obs.Options{Slices: obs.DefaultSlices})
-	}
-	if rr.opts.Trace {
-		cl.Units[0].EnableTrace(4096)
-	}
-	stats, err := cl.RunContext(ctx, []*core.Program{rr.prog})
-	if err != nil {
-		return nil, err
-	}
-	s.recordRun(cl, stats)
-	return stats, s.attachObs(cl, stats, rr, resp)
 }
 
 // installHeartbeat routes the cluster's progress heartbeat into the

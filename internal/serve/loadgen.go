@@ -81,6 +81,20 @@ func (c *Client) Submit(ctx context.Context, req Request) (*Response, error) {
 // never retried (the next attempt would only reach the same verdict,
 // and likely the cache).
 func (c *Client) SubmitRetry(ctx context.Context, req Request) (*Response, int, error) {
+	var resp *Response
+	retries, err := c.retry(ctx, func() (err error) {
+		resp, err = c.Submit(ctx, req)
+		return err
+	})
+	return resp, retries, err
+}
+
+// retry runs attempt under the retry policy: a transient failure
+// (Retryable kind) is retried up to MaxRetries times after an
+// exponential backoff from BaseBackoff, or after the server's
+// Retry-After hint when that is longer. It returns the retries spent
+// and the final outcome.
+func (c *Client) retry(ctx context.Context, attempt func() error) (int, error) {
 	maxRetries := c.MaxRetries
 	if maxRetries == 0 {
 		maxRetries = 4
@@ -89,25 +103,23 @@ func (c *Client) SubmitRetry(ctx context.Context, req Request) (*Response, int, 
 	if backoff == 0 {
 		backoff = 50 * time.Millisecond
 	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		resp, err := c.Submit(ctx, req)
+	for n := 0; ; n++ {
+		err := attempt()
 		if err == nil {
-			return resp, attempt, nil
+			return n, nil
 		}
-		lastErr = err
 		var ae *apiError
-		if !errors.As(err, &ae) || !ae.Kind.Retryable() || attempt >= maxRetries {
-			return nil, attempt, lastErr
+		if !errors.As(err, &ae) || !ae.Kind.Retryable() || n >= maxRetries {
+			return n, err
 		}
-		wait := backoff << attempt
+		wait := backoff << n
 		if ae.RetryAfter > wait {
 			wait = ae.RetryAfter
 		}
 		select {
 		case <-time.After(wait):
 		case <-ctx.Done():
-			return nil, attempt, context.Cause(ctx)
+			return n, context.Cause(ctx)
 		}
 	}
 }
@@ -290,31 +302,10 @@ func RunLoad(ctx context.Context, baseURL string, cfg LoadConfig) (*LoadResult, 
 // SubmitRetry: pre-stream shedding (429/503) retries with backoff;
 // anything in-band is final.
 func (c *Client) submitStreamRetry(ctx context.Context, req Request) (*StreamOutcome, int, error) {
-	maxRetries := c.MaxRetries
-	if maxRetries == 0 {
-		maxRetries = 4
-	}
-	backoff := c.BaseBackoff
-	if backoff == 0 {
-		backoff = 50 * time.Millisecond
-	}
-	for attempt := 0; ; attempt++ {
-		out, err := c.SubmitStream(ctx, req)
-		if err == nil {
-			return out, attempt, nil
-		}
-		var ae *apiError
-		if !errors.As(err, &ae) || !ae.Kind.Retryable() || attempt >= maxRetries {
-			return out, attempt, err
-		}
-		wait := backoff << attempt
-		if ae.RetryAfter > wait {
-			wait = ae.RetryAfter
-		}
-		select {
-		case <-time.After(wait):
-		case <-ctx.Done():
-			return out, attempt, context.Cause(ctx)
-		}
-	}
+	var out *StreamOutcome
+	retries, err := c.retry(ctx, func() (err error) {
+		out, err = c.SubmitStream(ctx, req)
+		return err
+	})
+	return out, retries, err
 }

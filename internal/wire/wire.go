@@ -156,7 +156,6 @@ type FaultSpec struct {
 type Config struct {
 	Preset         string     `json:"preset,omitempty"` // "default" (the zero value) or "dnn"
 	WatchdogCycles uint64     `json:"watchdog_cycles,omitempty"`
-	NoSkipAhead    bool       `json:"no_skip_ahead,omitempty"`
 	Faults         *FaultSpec `json:"faults,omitempty"`
 }
 
@@ -173,7 +172,6 @@ func (c Config) Build() (core.Config, error) {
 		return core.Config{}, reject(ErrBadValue, "config.preset", "unknown preset %q (default, dnn)", c.Preset)
 	}
 	cfg.WatchdogCycles = c.WatchdogCycles
-	cfg.NoSkipAhead = c.NoSkipAhead
 	if c.Faults != nil {
 		fc, err := faults.Profile(c.Faults.Profile, c.Faults.Seed)
 		if err != nil {
@@ -192,7 +190,7 @@ func (c Config) Build() (core.Config, error) {
 // neither is a fault profile — faults.Config does not carry its
 // profile name, so fault injection is requested wire-side by name.
 func FromConfig(cfg core.Config, preset string) Config {
-	return Config{Preset: preset, WatchdogCycles: cfg.WatchdogCycles, NoSkipAhead: cfg.NoSkipAhead}
+	return Config{Preset: preset, WatchdogCycles: cfg.WatchdogCycles}
 }
 
 // UnmarshalProgram strictly decodes data: unknown fields anywhere are

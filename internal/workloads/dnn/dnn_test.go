@@ -1,6 +1,7 @@
 package dnn
 
 import (
+	"context"
 	"testing"
 
 	"softbrain/internal/baseline"
@@ -20,7 +21,7 @@ func TestAllLayersVerify(t *testing.T) {
 			if inst.Units() != Units {
 				t.Fatalf("%d unit programs, want %d", inst.Units(), Units)
 			}
-			stats, err := inst.Run(cfg)
+			_, stats, err := inst.Run(context.Background(), cfg, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

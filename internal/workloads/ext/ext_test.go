@@ -1,6 +1,7 @@
 package ext
 
 import (
+	"context"
 	"testing"
 
 	"softbrain/internal/core"
@@ -17,7 +18,7 @@ func TestExtensionWorkloadsVerify(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			stats, err := inst.Run(cfg)
+			_, stats, err := inst.Run(context.Background(), cfg, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,7 +47,7 @@ func TestExtensionScalesUp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := inst.Run(cfg); err != nil {
+		if _, _, err := inst.Run(context.Background(), cfg, false, nil); err != nil {
 			t.Errorf("%s scale 2: %v", name, err)
 		}
 	}

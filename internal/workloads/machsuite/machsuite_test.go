@@ -1,6 +1,7 @@
 package machsuite
 
 import (
+	"context"
 	"testing"
 
 	"softbrain/internal/core"
@@ -18,7 +19,7 @@ func TestAllWorkloadsVerify(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			stats, err := inst.Run(cfg)
+			_, stats, err := inst.Run(context.Background(), cfg, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,8 +13,6 @@ import (
 	"softbrain/internal/baseline/asic"
 	"softbrain/internal/core"
 	"softbrain/internal/mem"
-	"softbrain/internal/obs"
-	"softbrain/internal/sim"
 )
 
 // Instance is one concrete, sized workload ready to run.
@@ -47,82 +45,39 @@ type Instance struct {
 // Units is the number of Softbrain units the instance runs on.
 func (i *Instance) Units() int { return len(i.Progs) }
 
-// Run executes the instance on a fresh machine (or cluster) with the
-// given per-unit configuration, verifies the result, and returns the
-// statistics.
-func (i *Instance) Run(cfg core.Config) (*core.Stats, error) {
-	return i.run(context.Background(), cfg, false)
+// CheckError reports a completed run whose output did not match the
+// workload's golden model. Run returns it together with the cluster and
+// the statistics, so a caller that expects corruption (a bit-flipping
+// fault profile) can still report the run.
+type CheckError struct {
+	Name string
+	Err  error // the golden model's verdict
 }
 
-// RunContext is Run bounded by a context: cancellation or deadline
-// expiry mid-run returns a *core.CanceledError (the cycle watchdog
-// bounds simulated time; the context bounds host wall-clock time).
-func (i *Instance) RunContext(ctx context.Context, cfg core.Config) (*core.Stats, error) {
-	return i.run(ctx, cfg, false)
-}
+func (e *CheckError) Error() string { return fmt.Sprintf("workloads: verifying %s: %v", e.Name, e.Err) }
 
-// RunWarm runs the instance twice on the same machine and reports the
-// second, cache-warm run — the standard steady-state measurement, and
-// the regime the paper's accelerator comparisons operate in. Workload
-// programs are idempotent, so verification still holds.
-func (i *Instance) RunWarm(cfg core.Config) (*core.Stats, error) {
-	return i.run(context.Background(), cfg, true)
-}
+func (e *CheckError) Unwrap() error { return e.Err }
 
-// RunWarmContext is RunWarm bounded by a context; the deadline covers
-// both the cold and the measured warm run.
-func (i *Instance) RunWarmContext(ctx context.Context, cfg core.Config) (*core.Stats, error) {
-	return i.run(ctx, cfg, true)
-}
-
-// RunPreparedContext is RunContext with a caller hook that runs after
-// the cluster is built and before the memory image is initialized — the
-// seam for attaching instrumentation (heartbeats, metrics, tracing)
-// without reimplementing the build/run/verify sequence. A nil prepare
-// is identical to RunContext.
-func (i *Instance) RunPreparedContext(ctx context.Context, cfg core.Config, prepare func(*core.Cluster)) (*core.Stats, error) {
-	_, stats, err := i.runOn(ctx, cfg, false, prepare)
-	return stats, err
-}
-
-// RunMetrics is Run with the observability layer attached: it returns
-// the per-unit metrics dump (stall attribution, counters, per-stream
-// bandwidth — see internal/obs) alongside the statistics. Enabling
-// metrics never changes the simulated schedule, so Cycles matches Run.
-func (i *Instance) RunMetrics(cfg core.Config, opts obs.Options) (*core.Stats, obs.Dump, error) {
-	return i.RunMetricsContext(context.Background(), cfg, opts)
-}
-
-// RunMetricsContext is RunMetrics bounded by a context; see RunContext.
-func (i *Instance) RunMetricsContext(ctx context.Context, cfg core.Config, opts obs.Options) (*core.Stats, obs.Dump, error) {
-	cl, stats, err := i.runOn(ctx, cfg, false, func(cl *core.Cluster) { cl.EnableMetrics(opts) })
-	if err != nil {
-		return nil, obs.Dump{}, err
-	}
-	return stats, cl.MetricsDump(), nil
-}
-
-// RunSchedContext is RunContext returning the wake-set scheduler's
-// aggregate counters and per-component tick totals alongside the
-// statistics (see core.Cluster.SchedStats). The counters describe how
-// the simulator ran, not what it simulated, so unlike the obs dump
-// they legitimately differ across scheduling modes.
-func (i *Instance) RunSchedContext(ctx context.Context, cfg core.Config) (*core.Stats, sim.SchedStats, map[string]uint64, error) {
-	cl, stats, err := i.runOn(ctx, cfg, false, nil)
-	if err != nil {
-		return nil, sim.SchedStats{}, nil, err
-	}
-	return stats, cl.SchedStats(), cl.SchedTickBy(), nil
-}
-
-func (i *Instance) run(ctx context.Context, cfg core.Config, warm bool) (*core.Stats, error) {
-	_, stats, err := i.runOn(ctx, cfg, warm, nil)
-	return stats, err
-}
-
-// runOn builds the cluster, lets prepare instrument it, and executes
-// (twice when warm, reporting the cache-warm second run).
-func (i *Instance) runOn(ctx context.Context, cfg core.Config, warm bool, prepare func(*core.Cluster)) (*core.Cluster, *core.Stats, error) {
+// Run is the one build/run/verify sequence every simulation of a
+// workload goes through: it builds a fresh cluster with one unit per
+// program, lets prepare instrument it (heartbeats, metrics, tracing;
+// nil for none), writes the input image, runs the programs, and
+// verifies the output against the golden model. With warm it runs the
+// programs twice on the same cluster and reports the second, cache-warm
+// run — the standard steady-state measurement, and the regime the
+// paper's accelerator comparisons operate in (workload programs are
+// idempotent, so verification still holds). A nil Check skips
+// verification.
+//
+// The returned cluster carries everything instrumentation collected
+// (MetricsDump, SchedStats, FaultStats, TraceInputs, per-unit traces).
+// It is non-nil whenever the cluster was built, even alongside an
+// error. Simulation failures are the simulator's typed errors
+// (*core.DeadlockError, *core.MachineError, *core.CanceledError) as
+// returned; a golden mismatch is a *CheckError and comes with the
+// statistics. The context bounds host wall-clock time across both warm
+// runs; the cycle watchdog bounds simulated time.
+func (i *Instance) Run(ctx context.Context, cfg core.Config, warm bool, prepare func(*core.Cluster)) (*core.Cluster, *core.Stats, error) {
 	if len(i.Progs) == 0 {
 		return nil, nil, fmt.Errorf("workloads: %s has no programs", i.Name)
 	}
@@ -137,18 +92,15 @@ func (i *Instance) runOn(ctx context.Context, cfg core.Config, warm bool, prepar
 		i.Init(cl.Mem)
 	}
 	stats, err := cl.RunContext(ctx, i.Progs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("workloads: running %s: %w", i.Name, err)
-	}
-	if warm {
+	if err == nil && warm {
 		stats, err = cl.RunContext(ctx, i.Progs)
-		if err != nil {
-			return nil, nil, fmt.Errorf("workloads: warm-running %s: %w", i.Name, err)
-		}
+	}
+	if err != nil {
+		return cl, nil, err
 	}
 	if i.Check != nil {
 		if err := i.Check(cl.Mem); err != nil {
-			return nil, nil, fmt.Errorf("workloads: verifying %s: %w", i.Name, err)
+			return cl, stats, &CheckError{Name: i.Name, Err: err}
 		}
 	}
 	return cl, stats, nil
