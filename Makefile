@@ -80,6 +80,8 @@ obs-check:
 	go run ./cmd/sdobs -validate-trace /tmp/obs_gemm.trace.json -check /tmp/obs_gemm.json
 	go run ./cmd/sdsim -w stencil2d -scale 2 -metrics /tmp/obs_stencil2d.json -trace-out /tmp/obs_stencil2d.trace.json >/dev/null
 	go run ./cmd/sdobs -validate-trace /tmp/obs_stencil2d.trace.json -check /tmp/obs_stencil2d.json
+	go run ./cmd/sdsim -w class1p -warm -metrics /tmp/obs_class1p_warm.json >/dev/null
+	go run ./cmd/sdobs -check /tmp/obs_class1p_warm.json
 
 # sdserve self-test (docs/SERVE.md): start the service on a loopback
 # port, submit a workload, verify the cache hit on resubmission, the

@@ -218,17 +218,18 @@ func reportObserved(ctx context.Context, inst *workloads.Instance, cfg core.Conf
 	fmt.Printf("%s: verified OK on %d unit(s), %d cycles\n\n", inst.Name, inst.Units(), stats.Cycles)
 	peak := float64(cfg.Mem.LineBytes) / float64(cfg.Mem.MissInterval)
 	fmt.Print(obs.BandwidthTable(dump, peak))
-	// The wake-set scheduler's own counters come from a separate run:
-	// attaching the metrics registry forces per-cycle stall attribution,
-	// which disables span retirement, so the observed run above cannot
-	// show what the event-driven scheduler does by default. The extra
-	// run doubles as an equivalence check on its cycle count.
+	// The wake-set scheduler's own counters come from a separate run
+	// (cold or warm, like the observed one): attaching the metrics
+	// registry forces per-cycle stall attribution, which disables span
+	// retirement, so the observed run above cannot show what the
+	// event-driven scheduler does by default. The extra run doubles as
+	// an equivalence check on its cycle count.
 	if metricsPath != "" {
-		sCl, sStats, err := inst.Run(ctx, cfg, false, nil)
+		sCl, sStats, err := inst.Run(ctx, cfg, warm, nil)
 		if err != nil {
 			return err
 		}
-		if !warm && sStats.Cycles != stats.Cycles {
+		if sStats.Cycles != stats.Cycles {
 			return fmt.Errorf("event-driven run changed the cycle count (%d -> %d)", stats.Cycles, sStats.Cycles)
 		}
 		printSched(sCl.SchedStats(), sCl.SchedTickBy(), inst.Units())

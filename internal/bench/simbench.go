@@ -54,7 +54,7 @@ type SimRow struct {
 // run's units, plus derived ratios.
 type SchedSummary struct {
 	SteppedCycles uint64 `json:"stepped_cycles"` // cycles the run loop stepped
-	SkippedCycles uint64 `json:"skipped_cycles"` // cycles elided by frozen jumps
+	JumpedCycles  uint64 `json:"skipped_cycles"` // cycles elided by frozen jumps
 	Jumps         uint64 `json:"jumps"`
 	CompTicks     uint64 `json:"comp_ticks"`
 	CompSleeps    uint64 `json:"comp_sleeps"`
@@ -89,7 +89,7 @@ func newSchedSummary(s sim.SchedStats, by map[string]uint64) *SchedSummary {
 	}
 	sum := &SchedSummary{
 		SteppedCycles: s.Cycles,
-		SkippedCycles: s.Skipped,
+		JumpedCycles:  s.Skipped,
 		Jumps:         s.Jumps,
 		CompTicks:     s.CompTicks,
 		CompSleeps:    s.CompSleeps,

@@ -52,26 +52,27 @@ func runMachine(t *testing.T, ctx context.Context, inst *workloads.Instance, cfg
 	return stats, m.Sys.Mem, err
 }
 
-// cancelMidRun builds a machine for inst and cancels its context from
-// the heartbeat callback, which only fires once the run is genuinely
-// underway — a deterministic mid-run cancellation with no sleeps.
+// cancelMidRun builds a one-unit cluster for inst and cancels its
+// context from the heartbeat callback, which only fires once the run
+// is genuinely underway — a deterministic mid-run cancellation with no
+// sleeps.
 func cancelMidRun(t *testing.T, inst *workloads.Instance, cfg core.Config, cause error) error {
 	t.Helper()
-	m, err := core.NewMachine(cfg)
+	cl, err := core.NewCluster(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
-	m.SetHeartbeat(0, func(r core.ProgressReport) {
+	cl.SetHeartbeat(0, func(r core.ProgressReport) {
 		if r.Cycle > 0 {
 			cancel(cause)
 		}
 	})
 	if inst.Init != nil {
-		inst.Init(m.Sys.Mem)
+		inst.Init(cl.Mem)
 	}
-	_, err = m.RunContext(ctx, inst.Progs[0])
+	_, err = cl.RunContext(ctx, inst.Progs)
 	return err
 }
 

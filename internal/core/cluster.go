@@ -32,15 +32,18 @@ type Cluster struct {
 	// (core cannot import the linter: lint analyzes core.Program).
 	Lint func(phases [][]*Program) error
 
-	cfg       Config
-	haveCfg   bool
-	unitStats []*Stats
+	cfg     Config
+	haveCfg bool
 
-	// Cluster-level heartbeat (see Machine.SetHeartbeat); the cluster
-	// runs its own loop, so it owns the stride check.
+	// Progress heartbeat (see SetHeartbeat), checked by the run loop
+	// every heartbeatStride cycles.
 	hbEvery time.Duration
 	hbFn    func(ProgressReport)
 	hbLast  time.Time
+
+	// runStart holds the progress totals when the current run started;
+	// reports count from there.
+	runStart ProgressReport
 }
 
 // EnableMetrics attaches one registry per unit (unit index = registry
@@ -83,21 +86,37 @@ func (c *Cluster) SchedTickBy() map[string]uint64 {
 	return total
 }
 
-// SetHeartbeat installs a progress callback on the cluster's run loop,
-// reporting aggregate progress across the units.
+// SetHeartbeat installs a progress callback invoked from the run loop
+// roughly every interval of host time (checked every heartbeatStride
+// cycles, so a hot loop pays one counter increment), reporting
+// aggregate progress across the units. Purely observational; it fires
+// only while a run is in progress and starts no goroutine.
 func (c *Cluster) SetHeartbeat(every time.Duration, fn func(ProgressReport)) {
 	c.hbEvery = every
 	c.hbFn = fn
 }
 
-// report aggregates a point-in-time view across the units.
-func (c *Cluster) report(now uint64) ProgressReport {
-	r := ProgressReport{Cycle: now}
-	var attrs []*obs.Attribution
+// totals sums the units' monotone progress counters.
+func (c *Cluster) totals() ProgressReport {
+	var r ProgressReport
 	for _, u := range c.Units {
 		r.Commands += u.disp.Issued
 		r.Progress += u.kern.Progress()
 		r.RetiredBytes += u.retiredBytes()
+	}
+	return r
+}
+
+// report aggregates a point-in-time view of the current run across the
+// units.
+func (c *Cluster) report(now uint64) ProgressReport {
+	r := c.totals()
+	r.Cycle = now
+	r.Commands -= c.runStart.Commands
+	r.Progress -= c.runStart.Progress
+	r.RetiredBytes -= c.runStart.RetiredBytes
+	var attrs []*obs.Attribution
+	for _, u := range c.Units {
 		attrs = append(attrs, u.reg.Attributions()...)
 	}
 	r.StallMix = stallMix(attrs)
@@ -106,7 +125,8 @@ func (c *Cluster) report(now uint64) ProgressReport {
 
 // Progress is the point-in-time aggregate report at cycle now — what a
 // heartbeat would deliver — exported so callers can snapshot final run
-// telemetry (retired bytes, stall mix) after a completed Run.
+// telemetry (retired bytes, stall mix) after a completed Run; it covers
+// the last run only.
 func (c *Cluster) Progress(now uint64) ProgressReport { return c.report(now) }
 
 // heartbeat fires the cluster callback when the interval elapsed.
@@ -181,13 +201,10 @@ func (c *Cluster) FaultStats() faults.Stats {
 	return total
 }
 
-// UnitStats returns the per-unit statistics of the last successful Run,
-// in unit order.
-func (c *Cluster) UnitStats() []*Stats { return c.unitStats }
-
 // Run executes one program per unit in lockstep and returns aggregated
-// statistics (Cycles is the wall-clock of the slowest unit). Like
-// Machine.Run, it never lets an invariant panic escape: the recovered
+// statistics (Cycles is the wall-clock of the slowest unit). It is the
+// simulator's one run loop — Machine.Run is a one-unit cluster run —
+// and it never lets an invariant panic escape: the recovered
 // MachineError names the unit whose Step failed.
 func (c *Cluster) Run(progs []*Program) (*Stats, error) {
 	return c.RunContext(context.Background(), progs)
@@ -196,6 +213,8 @@ func (c *Cluster) Run(progs []*Program) (*Stats, error) {
 // RunContext is Run bounded by a context: cancellation or deadline
 // expiry mid-run stops the run within one heartbeat stride and returns
 // a *CanceledError wrapping the context cause. See Machine.RunContext.
+// The statistics cover this run only: each unit's activity counters
+// are snapshotted after loading and subtracted at the end.
 func (c *Cluster) RunContext(ctx context.Context, progs []*Program) (stats *Stats, err error) {
 	if err := c.validateUnits(); err != nil {
 		return nil, err
@@ -208,10 +227,11 @@ func (c *Cluster) RunContext(ctx context.Context, progs []*Program) (stats *Stat
 			return nil, err
 		}
 	}
-	bases := make([]sysCounters, len(c.Units))
+	bases := make([]Stats, len(c.Units))
 	for i, u := range c.Units {
-		bases[i] = snapshotSys(u.Sys)
+		bases[i] = u.counters()
 	}
+	c.runStart = c.totals()
 	watchdog := c.cfg.WatchdogCycles
 	if watchdog == 0 {
 		watchdog = defaultWatchdog
@@ -336,8 +356,14 @@ func (c *Cluster) RunContext(ctx context.Context, progs []*Program) (stats *Stat
 		if stillRunning {
 			// Idle skip-ahead across the cluster: only when every running
 			// unit is asleep until a known future cycle (a unit with wake
-			// scheduling disabled reports Ready and vetoes). Capped at the
-			// watchdog deadline, like Machine.run.
+			// scheduling disabled reports Ready and vetoes). The machine
+			// is frozen (nothing Ready, no watch signal moved), so the
+			// elided cycles are provably no-ops: the kernel only records
+			// them and slept components replay their bookkeeping lazily.
+			// The target is capped at the cycle the watchdog would fire,
+			// so a hung run diagnoses at exactly the cycle the unskipped
+			// run would; a skipped span holds a pending timed event
+			// throughout, so it bypasses no quiescence check.
 			h := sim.Idle()
 			for _, u := range c.Units {
 				if !u.Done() {
@@ -376,11 +402,8 @@ func (c *Cluster) RunContext(ctx context.Context, progs []*Program) (stats *Stat
 		now = next
 	}
 	total := &Stats{}
-	c.unitStats = c.unitStats[:0]
 	for i, u := range c.Units {
-		s := u.collect(now, bases[i])
-		c.unitStats = append(c.unitStats, s)
-		total.Add(s)
+		total.Add(u.collect(now, &bases[i]))
 	}
 	total.Cycles = now
 	return total, nil
@@ -417,7 +440,6 @@ func (c *Cluster) RunStrict(progs []*Program) (*Stats, error) {
 // cluster linter's shared-region rules verify against. Statistics are
 // aggregated across phases with Cycles summed: phases are sequential,
 // so the pipeline's wall-clock is the sum of the phase wall-clocks.
-// UnitStats aggregates the same way per unit.
 func (c *Cluster) RunPipeline(phases [][]*Program) (*Stats, error) {
 	return c.RunPipelineContext(context.Background(), phases)
 }
@@ -431,7 +453,6 @@ func (c *Cluster) RunPipelineContext(ctx context.Context, phases [][]*Program) (
 	}
 	total := &Stats{}
 	var cycles uint64
-	var unitTotals []*Stats
 	for pi, progs := range phases {
 		s, err := c.RunContext(ctx, progs)
 		if err != nil {
@@ -439,20 +460,8 @@ func (c *Cluster) RunPipelineContext(ctx context.Context, phases [][]*Program) (
 		}
 		cycles += s.Cycles
 		total.Add(s)
-		if unitTotals == nil {
-			unitTotals = make([]*Stats, len(c.unitStats))
-			for i := range unitTotals {
-				unitTotals[i] = &Stats{}
-			}
-		}
-		for i, us := range c.unitStats {
-			sum := unitTotals[i].Cycles + us.Cycles
-			unitTotals[i].Add(us)
-			unitTotals[i].Cycles = sum // Add takes the max; phases serialize
-		}
 	}
 	total.Cycles = cycles
-	c.unitStats = unitTotals
 	return total, nil
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -253,11 +252,8 @@ func TestRunRecoversPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Load(p); err != nil {
-		t.Fatal(err)
-	}
 	m.Ports.In = nil // corrupt the machine: the MSE will index a nil slice
-	_, err = m.run(context.Background())
+	_, err = m.Run(p)
 	var me *MachineError
 	if !errors.As(err, &me) {
 		t.Fatalf("run over corrupted state = %v, want a MachineError", err)

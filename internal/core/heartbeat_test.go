@@ -1,5 +1,5 @@
-// Heartbeat lifecycle audit: SetHeartbeat callbacks fire only from
-// inside the run loop — they start no goroutines, report monotone
+// Heartbeat lifecycle audit: Cluster.SetHeartbeat callbacks fire only
+// from inside the run loop — they start no goroutines, report monotone
 // progress, and stop the moment Run returns. A long-lived server
 // (sdserve) leans on this: a heartbeat left ticking after a request
 // completes would be a per-request leak.
@@ -15,49 +15,6 @@ import (
 	"softbrain/internal/core"
 )
 
-func TestHeartbeatStopsAfterRun(t *testing.T) {
-	inst, cfg := buildGemm(t)
-	before := runtime.NumGoroutine()
-
-	m, err := core.NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fired atomic.Int64
-	var lastCycle atomic.Uint64
-	m.SetHeartbeat(0, func(r core.ProgressReport) {
-		fired.Add(1)
-		if prev := lastCycle.Load(); r.Cycle < prev {
-			t.Errorf("heartbeat cycle went backwards: %d after %d", r.Cycle, prev)
-		}
-		lastCycle.Store(r.Cycle)
-	})
-	if inst.Init != nil {
-		inst.Init(m.Sys.Mem)
-	}
-	stats, err := m.RunContext(context.Background(), inst.Progs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	during := fired.Load()
-	if during == 0 {
-		t.Fatalf("heartbeat never fired over a %d-cycle run", stats.Cycles)
-	}
-	if last := lastCycle.Load(); last >= stats.Cycles {
-		t.Errorf("heartbeat reported cycle %d at or past the final count %d", last, stats.Cycles)
-	}
-
-	// The callback must go quiet with the run loop: no timer, ticker,
-	// or goroutine keeps it alive. Give any such machinery ample host
-	// time to betray itself.
-	time.Sleep(50 * time.Millisecond)
-	if after := fired.Load(); after != during {
-		t.Errorf("heartbeat fired %d more time(s) after Run returned", after-during)
-	}
-	waitGoroutines(t, before)
-}
-
 // TestHeartbeatStopsAfterCanceledRun is the same audit on the error
 // path: a run torn down by cancellation must silence the heartbeat
 // just as a completed one does.
@@ -65,21 +22,21 @@ func TestHeartbeatStopsAfterCanceledRun(t *testing.T) {
 	inst, cfg := buildGemm(t)
 	before := runtime.NumGoroutine()
 
-	m, err := core.NewMachine(cfg)
+	cl, err := core.NewCluster(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var fired atomic.Int64
-	m.SetHeartbeat(0, func(r core.ProgressReport) {
+	cl.SetHeartbeat(0, func(r core.ProgressReport) {
 		fired.Add(1)
 		cancel()
 	})
 	if inst.Init != nil {
-		inst.Init(m.Sys.Mem)
+		inst.Init(cl.Mem)
 	}
-	if _, err := m.RunContext(ctx, inst.Progs[0]); err == nil {
+	if _, err := cl.RunContext(ctx, inst.Progs); err == nil {
 		t.Fatal("canceled run returned nil error")
 	}
 
@@ -91,9 +48,10 @@ func TestHeartbeatStopsAfterCanceledRun(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// TestClusterHeartbeatStopsAfterRun audits the cluster-level
-// heartbeat: it must stop firing when RunContext returns, and the run
-// must leave no goroutine behind.
+// TestClusterHeartbeatStopsAfterRun audits the heartbeat of a
+// completed run: it reports monotone cycles below the final count, it
+// must stop firing when RunContext returns, and the run must leave no
+// goroutine behind.
 func TestClusterHeartbeatStopsAfterRun(t *testing.T) {
 	inst, cfg := buildGemm(t)
 	before := runtime.NumGoroutine()
@@ -103,18 +61,32 @@ func TestClusterHeartbeatStopsAfterRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fired atomic.Int64
-	cl.SetHeartbeat(0, func(r core.ProgressReport) { fired.Add(1) })
+	var lastCycle atomic.Uint64
+	cl.SetHeartbeat(0, func(r core.ProgressReport) {
+		fired.Add(1)
+		if prev := lastCycle.Load(); r.Cycle < prev {
+			t.Errorf("heartbeat cycle went backwards: %d after %d", r.Cycle, prev)
+		}
+		lastCycle.Store(r.Cycle)
+	})
 	if inst.Init != nil {
 		inst.Init(cl.Mem)
 	}
-	if _, err := cl.RunContext(context.Background(), inst.Progs); err != nil {
+	stats, err := cl.RunContext(context.Background(), inst.Progs)
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	during := fired.Load()
 	if during == 0 {
-		t.Fatal("cluster heartbeat never fired")
+		t.Fatalf("cluster heartbeat never fired over a %d-cycle run", stats.Cycles)
 	}
+	if last := lastCycle.Load(); last >= stats.Cycles {
+		t.Errorf("heartbeat reported cycle %d at or past the final count %d", last, stats.Cycles)
+	}
+	// The callback must go quiet with the run loop: no timer, ticker,
+	// or goroutine keeps it alive. Give any such machinery ample host
+	// time to betray itself.
 	time.Sleep(50 * time.Millisecond)
 	if after := fired.Load(); after != during {
 		t.Errorf("cluster heartbeat fired %d more time(s) after Run returned", after-during)

@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"softbrain/internal/cgra"
 	"softbrain/internal/dispatch"
 	"softbrain/internal/engine"
 	"softbrain/internal/faults"
-	"softbrain/internal/isa"
 	"softbrain/internal/mem"
 	"softbrain/internal/obs"
 	"softbrain/internal/port"
@@ -76,8 +74,8 @@ type Machine struct {
 
 	// kern sequences the unit's components (see internal/sim and
 	// components.go); Step ticks only the components the kernel's wake
-	// hints and watch signals say could act, and run() uses the combined
-	// hint for idle skip-ahead.
+	// hints and watch signals say could act, and the cluster run loop
+	// uses the combined hint for idle skip-ahead.
 	kern        sim.Kernel
 	noSkip      bool  // wake scheduling disabled (config or per-cycle fault draws)
 	spans       bool  // batched span retirement enabled
@@ -97,14 +95,11 @@ type Machine struct {
 	prevInst  uint64
 	prevInstr uint64
 
-	// Observability (see obs.go in this package). All nil/zero unless
-	// EnableMetrics / SetHeartbeat are called; the tick path pays one
-	// nil check and allocates nothing when disabled.
-	reg     *obs.Registry
-	attr    *attrSet
-	hbEvery time.Duration
-	hbFn    func(ProgressReport)
-	hbLast  time.Time
+	// Observability (see obs.go in this package). Both nil unless
+	// EnableMetrics is called; the tick path pays one nil check and
+	// allocates nothing when disabled.
+	reg  *obs.Registry
+	attr *attrSet
 }
 
 // NewMachine builds a unit with a private memory system.
@@ -179,10 +174,14 @@ func NewMachineShared(cfg Config, sys *mem.System) (*Machine, error) {
 func (m *Machine) Config() Config { return m.cfg }
 
 // EnableTrace records an execution timeline (Figure 4b style) covering
-// the first limit cycles; render it with Trace().Gantt.
+// the first limit cycles of the next run; render it with Trace().Gantt.
 func (m *Machine) EnableTrace(limit uint64) {
 	m.tracer = trace.NewRecorder(limit)
 	m.disp.Tracer = m.tracer
+	// Lanes mark on counter changes; start from the current counts so
+	// a machine that already ran does not mark its history at cycle 0.
+	m.prevBusy = [3]uint64{m.mse.BusyCycles, m.sse.BusyCycles, m.rse.BusyCycles}
+	m.prevInst, m.prevInstr = m.exec.Instances, m.coreInstr
 }
 
 // Trace returns the recorder installed by EnableTrace, or nil.
@@ -228,8 +227,10 @@ func (m *Machine) Load(p *Program) error {
 	m.busyUntil = 0
 	// A reused machine restarts at cycle 0: rewind the wake-set state so
 	// the previous run's cached "everything idle" hints cannot put the
-	// new run to sleep before its first tick.
+	// new run to sleep before its first tick, and start the scheduler
+	// and barrier-drain tallies afresh so they describe this run only.
 	m.kern.Reset()
+	m.disp.ResetDrains()
 	m.lastStepped = -1
 	return nil
 }
@@ -239,21 +240,29 @@ func (m *Machine) Load(p *Program) error {
 // without a hook refuses every program — strict mode is an explicit
 // opt-in, not a silent fallback to Load.
 func (m *Machine) LoadStrict(p *Program) error {
+	if err := m.vet(p); err != nil {
+		return err
+	}
+	return m.Load(p)
+}
+
+// RunStrict is Run behind the Lint hook (see LoadStrict).
+func (m *Machine) RunStrict(p *Program) (*Stats, error) {
+	if err := m.vet(p); err != nil {
+		return nil, err
+	}
+	return m.Run(p)
+}
+
+// vet consults the Lint hook for LoadStrict and RunStrict.
+func (m *Machine) vet(p *Program) error {
 	if m.Lint == nil {
 		return fmt.Errorf("core: LoadStrict requires a Lint hook (install internal/lint.Hook)")
 	}
 	if err := m.Lint(p); err != nil {
 		return fmt.Errorf("core: refusing to load %s: %w", p.Name, err)
 	}
-	return m.Load(p)
-}
-
-// RunStrict is Run via LoadStrict.
-func (m *Machine) RunStrict(p *Program) (*Stats, error) {
-	if err := m.LoadStrict(p); err != nil {
-		return nil, err
-	}
-	return m.run(context.Background())
+	return nil
 }
 
 // Done reports whether the program has fully completed.
@@ -408,12 +417,9 @@ func (m *Machine) NextWake(now uint64) sim.Hint {
 	return m.kern.NextWake(now)
 }
 
-// SkippedCycles is the number of idle cycles the run loop elided.
-func (m *Machine) SkippedCycles() uint64 { return m.kern.Skipped() }
-
-// SchedStats reports the wake-set scheduler's counters for this unit:
-// cycles simulated, components ticked and slept, signal-triggered
-// wakes, whole-machine jumps, and retired-span shape.
+// SchedStats reports the wake-set scheduler's counters for this unit's
+// last run: cycles simulated, components ticked and slept, signal-
+// triggered wakes, whole-machine jumps, and retired-span shape.
 func (m *Machine) SchedStats() sim.SchedStats { return m.kern.Stats }
 
 // SchedTickBy reports the executed tick count per component name, the
@@ -538,124 +544,16 @@ func (m *Machine) Run(p *Program) (*Stats, error) {
 // watchdog bounds simulated time; the context bounds host wall-clock
 // time — a hung simulation is caught by the former, a slow host by the
 // latter. The machine's partial state is abandoned; load a fresh
-// machine to re-run.
+// machine to re-run. The run is a one-unit cluster run (see
+// Cluster.RunContext), so errors and recovered panics name unit 0.
 func (m *Machine) RunContext(ctx context.Context, p *Program) (*Stats, error) {
-	if err := m.Load(p); err != nil {
-		return nil, err
-	}
-	return m.run(ctx)
+	return (&Cluster{Units: []*Machine{m}}).RunContext(ctx, []*Program{p})
 }
 
-// run executes the loaded program to completion. Invariant panics from
-// any component are recovered into a MachineError — the execution
-// contract is that Run returns, it never takes the host process down.
-func (m *Machine) run(ctx context.Context) (stats *Stats, err error) {
-	base := snapshotSys(m.Sys)
-	watchdog := m.cfg.WatchdogCycles
-	if watchdog == 0 {
-		watchdog = defaultWatchdog
-	}
-	var now uint64
-	defer func() {
-		if r := recover(); r != nil {
-			stats, err = nil, m.recoverPanic(r, now)
-		}
-	}()
-	if ce := canceled(ctx, now); ce != nil {
-		return nil, ce
-	}
-	var lastProgress, lastChange uint64
-	var hbIter uint64
-	diagnosed := false
-	for !m.Done() {
-		if err := m.Step(now); err != nil {
-			return nil, err
-		}
-		if hbIter++; hbIter&(heartbeatStride-1) == 0 {
-			if ce := canceled(ctx, now); ce != nil {
-				return nil, ce
-			}
-			m.heartbeat(now)
-		}
-		if pr := m.progress(); pr != lastProgress {
-			lastProgress, lastChange = pr, now
-			diagnosed = false
-		} else if !m.Done() { // Step may have just finished the program
-			idle := now - lastChange
-			// Quiescence: no progress for the grace period and no timed
-			// event pending anywhere — provably stuck, so diagnose now
-			// rather than burning the full watchdog budget.
-			if idle >= quiesceGrace && !diagnosed && m.quiescent(now) {
-				de := m.diagnose(now)
-				if de.Class != HangUnknown || m.faults == nil {
-					return nil, de
-				}
-				// Unknown cause under fault injection: be conservative
-				// and keep running until the watchdog.
-				diagnosed = true
-			}
-			if idle > watchdog {
-				de := m.diagnose(now)
-				if de.Class == HangUnknown {
-					de.Class = HangWatchdog
-					de.Detail = "no progress within the watchdog window; no structural cause identified"
-				}
-				return nil, de
-			}
-		}
-		next := now + 1
-		if !m.noSkip && !m.Done() {
-			// Idle skip-ahead: when every component is asleep and the
-			// earliest wake is a known future cycle, jump there — the
-			// machine is frozen (nothing Ready, no watch signal moved),
-			// so the elided cycles are provably no-ops and the kernel
-			// only records them; the slept components replay their
-			// bookkeeping lazily before their next tick. The target is
-			// capped at the cycle the watchdog would fire so a hung run
-			// diagnoses at exactly the cycle the unskipped run would;
-			// skipped spans contain no quiescent cycle (a timed event is
-			// pending throughout), so no quiescence check is bypassed.
-			if h := m.kern.NextWake(now); h.Kind == sim.WakeTimed && h.At > next {
-				target := h.At
-				if deadline := lastChange + watchdog + 1; target > deadline {
-					target = deadline
-				}
-				if target > next {
-					m.onSkip(next, target)
-					next = target
-				}
-			} else {
-				// Span retirement: the machine is not frozen, but if a
-				// single component is due it can batch its solo ticks
-				// (see retireSpan). Capped at the watchdog deadline like
-				// the idle jump above.
-				n, err := m.retireSpan(next, lastChange+watchdog+1)
-				if err != nil {
-					return nil, err
-				}
-				next += n
-			}
-		}
-		now = next
-	}
-	return m.collect(now, base), nil
-}
-
-// sysCounters is the subset of memory-system statistics snapshotted to
-// attribute shared-system activity to one run.
-type sysCounters struct {
-	reads, writes, bytesRead, bytesWritten, hits, misses uint64
-}
-
-func snapshotSys(s *mem.System) sysCounters {
-	c := sysCounters{reads: s.Reads, writes: s.Writes, bytesRead: s.BytesRead, bytesWritten: s.BytesWritten}
-	if s.Cache != nil {
-		c.hits, c.misses = s.Cache.Hits, s.Cache.Misses
-	}
-	return c
-}
-
-func (m *Machine) collect(cycles uint64, base sysCounters) *Stats {
+// collect ends a run of cycles cycles that started from the counter
+// snapshot base: it flushes outstanding skip replays, finalizes the
+// metrics registry, and returns the run's own activity.
+func (m *Machine) collect(cycles uint64, base *Stats) *Stats {
 	if !m.noSkip {
 		// Replay any still-outstanding slept spans so per-cycle stall
 		// counters are complete through the unit's last stepped cycle.
@@ -664,21 +562,19 @@ func (m *Machine) collect(cycles uint64, base sysCounters) *Stats {
 		m.kern.Flush(uint64(m.lastStepped + 1))
 	}
 	m.finishMetrics(cycles)
-	cur := snapshotSys(m.Sys)
-	s := m.localStats(cycles)
-	s.MemBytesRead = cur.bytesRead - base.bytesRead
-	s.MemBytesWritten = cur.bytesWritten - base.bytesWritten
-	s.MemLines = cur.reads - base.reads + cur.writes - base.writes
-	s.CacheHits = cur.hits - base.hits
-	s.CacheMisses = cur.misses - base.misses
-	return s
+	s := m.counters()
+	s.sub(base)
+	s.Cycles = cycles
+	return &s
 }
 
-// localStats gathers the unit-private counters (everything except the
-// possibly-shared memory system).
-func (m *Machine) localStats(cycles uint64) *Stats {
-	return &Stats{
-		Cycles:           cycles,
+// counters snapshots every activity counter Stats reports (Cycles
+// zero). The counters grow monotonically over the machine's life, so a
+// run's Stats is the difference of the snapshots at its end and start:
+// a reused machine (a warm run, a pipeline phase) reports only the
+// run's own activity.
+func (m *Machine) counters() Stats {
+	s := Stats{
 		CoreInstrs:       m.coreInstr,
 		CoreStallCycles:  m.coreStall,
 		Commands:         m.disp.Issued,
@@ -692,7 +588,36 @@ func (m *Machine) localStats(cycles uint64) *Stats {
 		MSEBusy:          m.mse.BusyCycles,
 		SSEBusy:          m.sse.BusyCycles,
 		RSEBusy:          m.rse.BusyCycles,
+		MemBytesRead:     m.Sys.BytesRead,
+		MemBytesWritten:  m.Sys.BytesWritten,
+		MemLines:         m.Sys.Reads + m.Sys.Writes,
 	}
+	if m.Sys.Cache != nil {
+		s.CacheHits, s.CacheMisses = m.Sys.Cache.Hits, m.Sys.Cache.Misses
+	}
+	return s
+}
+
+// sub subtracts the counter snapshot base from s.
+func (s *Stats) sub(base *Stats) {
+	s.CoreInstrs -= base.CoreInstrs
+	s.CoreStallCycles -= base.CoreStallCycles
+	s.Commands -= base.Commands
+	s.BarrierCycles -= base.BarrierCycles
+	s.ResourceStall -= base.ResourceStall
+	s.Instances -= base.Instances
+	s.FUOps -= base.FUOps
+	s.MemBytesRead -= base.MemBytesRead
+	s.MemBytesWritten -= base.MemBytesWritten
+	s.MemLines -= base.MemLines
+	s.CacheHits -= base.CacheHits
+	s.CacheMisses -= base.CacheMisses
+	s.ScratchBytesRead -= base.ScratchBytesRead
+	s.ScratchBytesWrit -= base.ScratchBytesWrit
+	s.RecurrenceBytes -= base.RecurrenceBytes
+	s.MSEBusy -= base.MSEBusy
+	s.SSEBusy -= base.SSEBusy
+	s.RSEBusy -= base.RSEBusy
 }
 
 // Add accumulates other into s (for multi-unit aggregation). Cycles
@@ -719,20 +644,4 @@ func (s *Stats) Add(other *Stats) {
 	s.MSEBusy += other.MSEBusy
 	s.SSEBusy += other.SSEBusy
 	s.RSEBusy += other.RSEBusy
-}
-
-// StallBreakdown exposes the dispatcher's per-command stall counters for
-// performance debugging.
-func (m *Machine) StallBreakdown() map[isa.Kind]uint64 { return m.disp.StallByKind }
-
-// BarrierDrains reports per-barrier drain cycles keyed by trace
-// position, sorted by position — the profile the fix pass's cost-aware
-// placement consumes (see internal/fix).
-func (m *Machine) BarrierDrains() []dispatch.BarrierDrain { return m.disp.BarrierDrains() }
-
-// DebugState renders a one-line snapshot of the dispatcher queue and
-// port occupancy for performance debugging.
-func (m *Machine) DebugState() string {
-	return fmt.Sprintf("q=%d %v | %s | %s", m.disp.QueueLen(), m.disp.QueueKinds(),
-		m.mse.DebugStreams(0), strings.ReplaceAll(m.snapshot(), "\n", " ; "))
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"softbrain/internal/isa"
 	"softbrain/internal/obs"
@@ -12,10 +11,10 @@ import (
 
 // This file wires the observability layer (internal/obs) into the
 // machine: per-cycle stall-cause attribution for every component, the
-// per-stream bandwidth rows, and the heartbeat hook. Everything here is
-// strictly observational — enabling metrics never changes a simulated
-// cycle — and a machine without a registry pays one nil check per Step
-// and allocates nothing.
+// per-stream bandwidth rows, and the cluster heartbeat's progress
+// report. Everything here is strictly observational — enabling metrics
+// never changes a simulated cycle — and a machine without a registry
+// pays one nil check per Step and allocates nothing.
 //
 // Busy is attributed machine-side from monotone work-counter deltas
 // (the same counters the trace lanes and progress detection use);
@@ -32,12 +31,30 @@ type attrSet struct {
 	cgra, mse, sse, rse, disp, core, ports *obs.Attribution
 
 	prevCGRA, prevMSE, prevSSE, prevRSE, prevCore, prevPorts uint64
+
+	// base holds the published work counters at EnableMetrics, so the
+	// registry reports only the run it observed.
+	base [len(workNames)]uint64
+}
+
+// workNames names the monotone work counters the registry publishes,
+// index-aligned with Machine.work.
+var workNames = [...]string{"commands", "core-instrs", "cgra-instances", "cgra-fu-ops",
+	"mem-bytes", "scratch-bytes", "recurrence-bytes"}
+
+// work reads the counters workNames names.
+func (m *Machine) work() [len(workNames)]uint64 {
+	return [...]uint64{m.disp.Issued, m.coreInstr, m.exec.Instances, m.exec.FUOps,
+		m.mse.BytesDelivered + m.mse.BytesStored, m.sse.BytesIn + m.sse.BytesOut, m.rse.BytesMoved}
 }
 
 // EnableMetrics attaches a registry: attributions for every component,
 // the dispatcher's issue-to-retire latency histogram, and per-stream
 // data-movement rows reported by the engines as streams retire. Call
-// before Run; the registry is finalized by the run's stats collection.
+// before Run; the registry observes that one run and is finalized by
+// its stats collection. Busy detection and the published counters
+// start from the machine's current counts, so a machine that already
+// ran (a warm run) reports the observed run only.
 func (m *Machine) EnableMetrics(reg *obs.Registry) {
 	m.reg = reg
 	m.attr = &attrSet{
@@ -48,6 +65,14 @@ func (m *Machine) EnableMetrics(reg *obs.Registry) {
 		disp:  reg.Attribution("dispatch"),
 		core:  reg.Attribution("core"),
 		ports: reg.Attribution("ports"),
+
+		prevCGRA:  m.cgraWork(),
+		prevMSE:   m.mse.BusyCycles,
+		prevSSE:   m.sseWork(),
+		prevRSE:   m.rse.BusyCycles,
+		prevCore:  m.coreInstr,
+		prevPorts: m.portsWork(),
+		base:      m.work(),
 	}
 	m.disp.EnableLatency(reg.Histogram("dispatch-latency", 64, 65))
 	retired := func(id int, kind isa.Kind, bytes uint64) {
@@ -90,6 +115,14 @@ func (c *Cluster) TraceInputs(endCycle uint64) []obs.TraceInput {
 		out = append(out, u.TraceInput(endCycle))
 	}
 	return out
+}
+
+// cgraWork counts the fabric's fired and drained instances.
+func (m *Machine) cgraWork() uint64 { return m.exec.Instances + m.exec.Drained }
+
+// sseWork counts the scratchpad engine's grants and bytes moved.
+func (m *Machine) sseWork() uint64 {
+	return m.sse.ReadGrants + m.sse.WriteGrants + m.sse.BytesOut + m.sse.BytesIn
 }
 
 // portsWork sums data movement through every vector port.
@@ -152,7 +185,7 @@ func (m *Machine) coreStallCause(now uint64) obs.Cause {
 func (m *Machine) classifyCycle(now uint64) {
 	a := m.attr
 	to := now + 1
-	if w := m.exec.Instances + m.exec.Drained; w != a.prevCGRA {
+	if w := m.cgraWork(); w != a.prevCGRA {
 		a.prevCGRA = w
 		a.cgra.Account(obs.Busy, now, to)
 	} else {
@@ -164,7 +197,7 @@ func (m *Machine) classifyCycle(now uint64) {
 	} else {
 		a.mse.Account(m.mse.StallCause(now), now, to)
 	}
-	if w := m.sse.ReadGrants + m.sse.WriteGrants + m.sse.BytesOut + m.sse.BytesIn; w != a.prevSSE {
+	if w := m.sseWork(); w != a.prevSSE {
 		a.prevSSE = w
 		a.sse.Account(obs.Busy, now, to)
 	} else {
@@ -211,8 +244,8 @@ func (m *Machine) classifySpan(from, to uint64) {
 
 // onSkip records an elided span [from, to) — the kernel only counts it
 // (slept components replay their own bookkeeping lazily, see
-// sim.Kernel) — and attributes its stall causes. Both run loops
-// (Machine.run, Cluster.Run) call this for whole-machine jumps.
+// sim.Kernel) — and attributes its stall causes. The cluster run loop
+// calls this for whole-machine jumps.
 func (m *Machine) onSkip(from, to uint64) {
 	m.kern.Jump(from, to)
 	if m.attr != nil {
@@ -233,13 +266,10 @@ func (m *Machine) finishMetrics(cycles uint64) {
 		a.Finish(cycles)
 	}
 	m.reg.SetCycles(cycles)
-	m.reg.Counter("commands").Set(m.disp.Issued)
-	m.reg.Counter("core-instrs").Set(m.coreInstr)
-	m.reg.Counter("cgra-instances").Set(m.exec.Instances)
-	m.reg.Counter("cgra-fu-ops").Set(m.exec.FUOps)
-	m.reg.Counter("mem-bytes").Set(m.mse.BytesDelivered + m.mse.BytesStored)
-	m.reg.Counter("scratch-bytes").Set(m.sse.BytesIn + m.sse.BytesOut)
-	m.reg.Counter("recurrence-bytes").Set(m.rse.BytesMoved)
+	w := m.work()
+	for i, name := range workNames {
+		m.reg.Counter(name).Set(w[i] - m.attr.base[i])
+	}
 	ds := m.disp.BarrierDrains()
 	rows := make([]obs.BarrierDrainDump, len(ds))
 	for i, bd := range ds {
@@ -248,28 +278,15 @@ func (m *Machine) finishMetrics(cycles uint64) {
 	m.reg.SetBarrierDrains(rows)
 }
 
-// ProgressReport is a point-in-time view of a running machine for the
+// ProgressReport is a point-in-time view of a running cluster for the
 // heartbeat (sdsim -progress, sdbench -progress, sdserve streaming).
+// The counts cover the current run only.
 type ProgressReport struct {
 	Cycle        uint64
 	Commands     uint64 // stream commands issued so far
-	Progress     uint64 // the machine's monotone progress counter
+	Progress     uint64 // the units' summed monotone progress counters
 	RetiredBytes uint64 // bytes moved by the engines so far (mem + scratch + recurrence)
 	StallMix     string // current attribution mix, "" when metrics are off
-}
-
-// Report snapshots the machine's progress at cycle now.
-func (m *Machine) Report(now uint64) ProgressReport {
-	r := ProgressReport{
-		Cycle:        now,
-		Commands:     m.disp.Issued,
-		Progress:     m.kern.Progress(),
-		RetiredBytes: m.retiredBytes(),
-	}
-	if m.reg != nil {
-		r.StallMix = stallMix(m.reg.Attributions())
-	}
-	return r
 }
 
 // retiredBytes sums the engines' monotone data-movement counters: the
@@ -331,31 +348,6 @@ func stallMix(attrs []*obs.Attribution) string {
 	return strings.Join(parts, " ")
 }
 
-// SetHeartbeat installs a progress callback invoked from the run loop
-// roughly every interval of host time (checked every heartbeatStride
-// cycles, so a hot loop pays one counter increment). For long soaks
-// and sdsim -progress; purely observational.
-func (m *Machine) SetHeartbeat(every time.Duration, fn func(ProgressReport)) {
-	m.hbEvery = every
-	m.hbFn = fn
-}
-
 // heartbeatStride bounds how often the run loop consults the host
-// clock: every 4096 simulated cycles.
+// clock and the context: every 4096 simulated cycles.
 const heartbeatStride = 1 << 12
-
-// heartbeat fires the callback when the interval elapsed; called every
-// heartbeatStride cycles by the run loops.
-func (m *Machine) heartbeat(now uint64) {
-	if m.hbFn == nil {
-		return
-	}
-	if m.hbLast.IsZero() {
-		m.hbLast = time.Now()
-		return
-	}
-	if time.Since(m.hbLast) >= m.hbEvery {
-		m.hbLast = time.Now()
-		m.hbFn(m.Report(now))
-	}
-}

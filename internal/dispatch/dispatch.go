@@ -147,7 +147,6 @@ type Dispatcher struct {
 	Issued        uint64
 	BarrierCycles uint64 // cycles a barrier held the queue head
 	ResourceStall uint64 // cycles the head command waited on resources
-	StallByKind   map[isa.Kind]uint64
 
 	// Per-barrier drain accounting, keyed by the trace position the
 	// core passed to EnqueueAt (-1 entries are not tracked). A barrier
@@ -167,7 +166,6 @@ type Dispatcher struct {
 	repeatBarrier  bool
 	repeatPos      int
 	repeatResource bool
-	repeatKind     isa.Kind
 
 	// Wake signals (see sim.Signal). EnqSeq counts accepted enqueues —
 	// the dispatcher's own watch includes it so a command arriving from
@@ -198,14 +196,13 @@ func New(mse *engine.MSE, sse *engine.SSE, rse *engine.RSE, numIn, numOut, queue
 	return &Dispatcher{
 		mse: mse, sse: sse, rse: rse,
 		numIn: numIn, numOut: numOut, queueDepth: queueDepth,
-		inWriter:    map[int][]holder{},
-		inReader:    map[int]int{},
-		outReader:   map[int]int{},
-		active:      map[int]resources{},
-		nextID:      1,
-		StallByKind: map[isa.Kind]uint64{},
-		touchIn:     make([]uint64, numIn),
-		touchOut:    make([]uint64, numOut),
+		inWriter:  map[int][]holder{},
+		inReader:  map[int]int{},
+		outReader: map[int]int{},
+		active:    map[int]resources{},
+		nextID:    1,
+		touchIn:   make([]uint64, numIn),
+		touchOut:  make([]uint64, numOut),
 	}
 }
 
@@ -266,10 +263,17 @@ func (d *Dispatcher) EnqueueAt(cmd isa.Command, pos int, now uint64) error {
 	return nil
 }
 
-// BarrierDrains reports the per-barrier drain cycles accumulated so
-// far, sorted by trace position. Only barriers enqueued via EnqueueAt
-// with a non-negative position appear; zero-drain barriers are
-// included so a profile distinguishes "free" from "never executed".
+// ResetDrains clears the per-barrier drain accounting, so a dispatcher
+// reused for another run reports that run's drains only.
+func (d *Dispatcher) ResetDrains() {
+	d.drainByPos, d.drainKind = nil, nil
+}
+
+// BarrierDrains reports the per-barrier drain cycles accumulated since
+// the last ResetDrains, sorted by trace position. Only barriers
+// enqueued via EnqueueAt with a non-negative position appear;
+// zero-drain barriers are included so a profile distinguishes "free"
+// from "never executed".
 func (d *Dispatcher) BarrierDrains() []BarrierDrain {
 	out := make([]BarrierDrain, 0, len(d.drainByPos))
 	for pos, cy := range d.drainByPos {
@@ -350,8 +354,7 @@ func (d *Dispatcher) Tick(now uint64) error {
 				d.StateVer.Raise()
 			} else if i == 0 {
 				d.ResourceStall++
-				d.StallByKind[cmd.Kind()]++
-				d.repeatResource, d.repeatKind = true, cmd.Kind()
+				d.repeatResource = true
 			}
 			return nil
 		}
@@ -392,8 +395,7 @@ func (d *Dispatcher) Tick(now uint64) error {
 		if conflict || !d.resourcesFree(r) {
 			if i == 0 {
 				d.ResourceStall++
-				d.StallByKind[cmd.Kind()]++
-				d.repeatResource, d.repeatKind = true, cmd.Kind()
+				d.repeatResource = true
 				if d.InOrderIssue {
 					return nil
 				}
@@ -484,7 +486,6 @@ func (d *Dispatcher) OnSkip(from, to uint64) {
 	}
 	if d.repeatResource {
 		d.ResourceStall += dc
-		d.StallByKind[d.repeatKind] += dc
 	}
 }
 
@@ -665,13 +666,4 @@ func (d *Dispatcher) Holder(p int) int {
 		}
 	}
 	return -1
-}
-
-// QueueKinds lists the queued commands' kinds, oldest first (debug aid).
-func (d *Dispatcher) QueueKinds() []isa.Kind {
-	out := make([]isa.Kind, len(d.queue))
-	for i, q := range d.queue {
-		out[i] = q.cmd.Kind()
-	}
-	return out
 }

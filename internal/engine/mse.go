@@ -868,20 +868,3 @@ func (e *MSE) NextWake(now uint64) sim.Hint {
 	}
 	return h
 }
-
-// DebugStreams renders the read-stream table state (debug aid).
-func (e *MSE) DebugStreams(now uint64) string {
-	s := ""
-	for _, r := range e.reads {
-		head := "-"
-		if len(r.pending) > 0 {
-			head = fmt.Sprintf("%d@+%d", len(r.pending[0].data), int64(r.pending[0].ready)-int64(now))
-		}
-		s += fmt.Sprintf("[id%d %v dst%d pend%d head%s all%v idxRem%d aguPend%d] ",
-			r.id, r.kind, r.dstPort, len(r.pending), head, r.issuedAll(), r.idxRemaining, r.agu.pending())
-	}
-	for _, w := range e.writes {
-		s += fmt.Sprintf("[id%d %v src%d all%v idxRem%d] ", w.id, w.kind, w.srcPort, w.issuedAll(), w.idxRemaining)
-	}
-	return s
-}

@@ -77,3 +77,27 @@ func TestWireWarmMetrics(t *testing.T) {
 			warm.Cycles, warm.Cached, len(warm.Metrics), cold.Cycles)
 	}
 }
+
+// TestNamedWarmMetrics checks that a named workload honours
+// options.warm together with metrics: the answer is a verified 200
+// whose statistics cover the measured run only — fewer cycles than the
+// cold run, the same work.
+func TestNamedWarmMetrics(t *testing.T) {
+	_, _, cl := newTestServer(t, Options{Workers: 1})
+	ctx := context.Background()
+	cold, err := cl.Submit(ctx, Request{Workload: "gemm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := cl.Submit(ctx, Request{Workload: "gemm", Options: RunOptions{Warm: true, Metrics: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.Verified || warm.Cached || len(warm.Metrics) == 0 {
+		t.Fatalf("warm+metrics: verified %v, cached %v, %d metrics bytes", warm.Verified, warm.Cached, len(warm.Metrics))
+	}
+	if warm.Cycles >= cold.Cycles || warm.Stats.Instances != cold.Stats.Instances {
+		t.Errorf("warm+metrics: %d cycles, %d instances; cold run %d cycles, %d instances",
+			warm.Cycles, warm.Stats.Instances, cold.Cycles, cold.Stats.Instances)
+	}
+}

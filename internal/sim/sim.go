@@ -234,10 +234,6 @@ type Kernel struct {
 	TickBy []uint64
 }
 
-// Skipped is the number of cycles elided by frozen jumps, kept as a
-// plain field view for existing callers.
-func (k *Kernel) Skipped() uint64 { return k.Stats.Skipped }
-
 // Register appends a component; registration order is tick order.
 func (k *Kernel) Register(c Component) {
 	k.comps = append(k.comps, c)
@@ -257,14 +253,16 @@ func (k *Kernel) Components() []Component { return k.comps }
 // Reset clears the cached wake state for a machine reused across runs:
 // every component starts the new run Ready (its first tick re-caches a
 // fresh hint and signature) and the lazy-replay cursors rewind to the
-// new run's cycle 0. Statistics persist; they accumulate across runs
-// like every other machine counter.
+// new run's cycle 0. Stats and TickBy restart from zero, so they
+// describe one run.
 func (k *Kernel) Reset() {
 	for i := range k.comps {
 		k.hints[i] = ReadyNow()
 		k.sigs[i] = 0
 		k.last[i] = -1
+		k.TickBy[i] = 0
 	}
+	k.Stats = SchedStats{}
 }
 
 // Progress sums the components' monotone progress counters.

@@ -60,14 +60,15 @@ func (e *CheckError) Unwrap() error { return e.Err }
 
 // Run is the one build/run/verify sequence every simulation of a
 // workload goes through: it builds a fresh cluster with one unit per
-// program, lets prepare instrument it (heartbeats, metrics, tracing;
-// nil for none), writes the input image, runs the programs, and
-// verifies the output against the golden model. With warm it runs the
-// programs twice on the same cluster and reports the second, cache-warm
-// run — the standard steady-state measurement, and the regime the
-// paper's accelerator comparisons operate in (workload programs are
-// idempotent, so verification still holds). A nil Check skips
-// verification.
+// program, writes the input image, lets prepare instrument the cluster
+// (heartbeats, metrics, tracing; nil for none), runs the programs, and
+// verifies the output against the golden model. With warm it first
+// runs the programs once unobserved on the same cluster, then reports
+// the second, cache-warm run — the standard steady-state measurement,
+// and the regime the paper's accelerator comparisons operate in
+// (workload programs are idempotent, so verification still holds).
+// Statistics and instrumentation cover the reported run only. A nil
+// Check skips verification.
 //
 // The returned cluster carries everything instrumentation collected
 // (MetricsDump, SchedStats, FaultStats, TraceInputs, per-unit traces).
@@ -85,16 +86,18 @@ func (i *Instance) Run(ctx context.Context, cfg core.Config, warm bool, prepare 
 	if err != nil {
 		return nil, nil, err
 	}
-	if prepare != nil {
-		prepare(cl)
-	}
 	if i.Init != nil {
 		i.Init(cl.Mem)
 	}
-	stats, err := cl.RunContext(ctx, i.Progs)
-	if err == nil && warm {
-		stats, err = cl.RunContext(ctx, i.Progs)
+	if warm {
+		if _, err := cl.RunContext(ctx, i.Progs); err != nil {
+			return cl, nil, err
+		}
 	}
+	if prepare != nil {
+		prepare(cl)
+	}
+	stats, err := cl.RunContext(ctx, i.Progs)
 	if err != nil {
 		return cl, nil, err
 	}

@@ -107,6 +107,9 @@ for w in gemm stencil2d; do
 	go run ./cmd/sdobs -validate-trace "/tmp/obs_$w.trace.json" -check "/tmp/obs_$w.json"
 	go run ./cmd/sdobs -prom "/tmp/obs_$w.json" >/dev/null
 done
+# A warm run's dump covers its measured run only, so it conserves too.
+go run ./cmd/sdsim -w class1p -warm -metrics /tmp/obs_class1p_warm.json >/dev/null
+go run ./cmd/sdobs -check /tmp/obs_class1p_warm.json
 
 echo "== fuzz smoke (short slice; make fuzz-smoke for full budget)"
 FUZZTIME=5s make fuzz-smoke
