@@ -26,12 +26,13 @@ fix-check:
 # Randomized fault-injection soak (docs/ROBUSTNESS.md): 50 seeded
 # programs, each under every fault profile plus a maimed variant, plus
 # the cluster determinism tests (each unit's region of a contended
-# cluster run equals its standalone run) and the shared-*Program
-# concurrent-load test, under the race detector. Override the breadth
-# with SOAK_SEEDS=n.
+# cluster run equals its standalone run), the shared-*Program
+# concurrent-load test and the build-determinism test (every shipped
+# program builds to identical bytes, also on concurrent goroutines),
+# under the race detector. Override the breadth with SOAK_SEEDS=n.
 .PHONY: soak
 soak:
-	SOAK_SEEDS=$${SOAK_SEEDS:-50} go test -race -run 'TestSoakFaultInjection|TestClusterDeterminism|TestSharedProgramConcurrentRuns' -count=1 ./internal/core
+	SOAK_SEEDS=$${SOAK_SEEDS:-50} go test -race -run 'TestSoakFaultInjection|TestClusterDeterminism|TestSharedProgramConcurrentRuns|TestBuildDeterminism' -count=1 ./internal/core
 
 # Simulator host-performance smoke benchmark (docs/SIMKERNEL.md): runs
 # sdbench -json on a small workload slice, fails if simulated cycle

@@ -17,7 +17,6 @@ import (
 	"softbrain"
 	"softbrain/examples/programs"
 	"softbrain/internal/fix"
-	"softbrain/internal/isa"
 	"softbrain/internal/obs"
 	"softbrain/internal/wire"
 )
@@ -28,7 +27,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	naive := serialize(ex.Prog)
+	naive := fix.Serialize(ex.Prog)
 	fixed, rep, err := softbrain.FixProgram(naive, ex.Cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -120,20 +119,4 @@ func run(ex programs.Example, p *softbrain.Program, metrics bool) (*softbrain.St
 		d = m.MetricsDump()
 	}
 	return stats, d, nil
-}
-
-// serialize rebuilds p with an SD_Barrier_All after every non-barrier
-// command.
-func serialize(p *softbrain.Program) *softbrain.Program {
-	q := softbrain.NewProgram(p.Name)
-	for addr, blob := range p.Configs {
-		q.Configs[addr] = blob
-	}
-	for _, op := range p.Trace {
-		q.Trace = append(q.Trace, op)
-		if op.Cmd != nil && !isa.IsBarrier(op.Cmd) {
-			q.Trace = append(q.Trace, softbrain.TraceOp{Cmd: isa.BarrierAll{}})
-		}
-	}
-	return q
 }

@@ -6,7 +6,6 @@ import (
 
 	"softbrain/internal/core"
 	"softbrain/internal/fix"
-	"softbrain/internal/isa"
 	"softbrain/internal/lint"
 	"softbrain/internal/obs"
 	"softbrain/internal/workloads"
@@ -84,7 +83,7 @@ func FixStudy(ctx context.Context) ([]FixRow, error) {
 		fixed := make([]*core.Program, len(inst.Progs))
 		row := FixRow{Workload: w.name}
 		for i, p := range inst.Progs {
-			serialized[i] = serialize(p)
+			serialized[i] = fix.Serialize(p)
 			q, rep, err := fix.Fix(serialized[i], cfg)
 			if err != nil {
 				return nil, fmt.Errorf("bench: fix study %s: %w", w.name, err)
@@ -180,22 +179,6 @@ func placementStudy(ctx context.Context, inst *workloads.Instance, cfg core.Conf
 	}
 	row.HoistedCy, row.HoistedDrain = hStats.Cycles, hStats.BarrierCycles
 	return nil
-}
-
-// serialize rebuilds p with an SD_Barrier_All after every non-barrier
-// command.
-func serialize(p *core.Program) *core.Program {
-	q := core.NewProgram(p.Name)
-	for addr, blob := range p.Configs {
-		q.Configs[addr] = blob
-	}
-	for _, op := range p.Trace {
-		q.Trace = append(q.Trace, op)
-		if op.Cmd != nil && !isa.IsBarrier(op.Cmd) {
-			q.Trace = append(q.Trace, core.TraceOp{Cmd: isa.BarrierAll{}})
-		}
-	}
-	return q
 }
 
 // withProgs is inst running the given program set in place of its

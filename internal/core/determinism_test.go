@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"softbrain/internal/core"
+	"softbrain/internal/dfg"
 	"softbrain/internal/fix"
+	"softbrain/internal/isa"
 	"softbrain/internal/mem"
 	"softbrain/internal/obs"
 	"softbrain/internal/progen"
@@ -154,5 +156,78 @@ func TestClusterConfigMismatch(t *testing.T) {
 	_, err = cl.Run([]*core.Program{pa, pb})
 	if err == nil || !strings.Contains(err.Error(), "config differs") {
 		t.Fatalf("mismatched cluster ran anyway: err=%v", err)
+	}
+}
+
+// pairProgram builds a program that streams n words from a and b at
+// base through the binary op and writes the results after them.
+func pairProgram(t *testing.T, cfg core.Config, op dfg.Op, base, n uint64) *core.Program {
+	t.Helper()
+	b := dfg.NewBuilder(op.String())
+	x := b.Input("A", 1)
+	y := b.Input("B", 1)
+	b.Output("C", b.N(op, x.W(0), y.W(0)))
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.NewProgram(op.String())
+	p.CompileAndConfigure(cfg.Fabric, g)
+	p.Emit(isa.MemPort{Src: isa.Linear(base, 8*n), Dst: p.In("A")})
+	p.Emit(isa.MemPort{Src: isa.Linear(base+8*n, 8*n), Dst: p.In("B")})
+	p.Emit(isa.PortMem{Src: p.Out("C"), Dst: isa.Linear(base+16*n, 8*n)})
+	p.Emit(isa.BarrierAll{})
+	if err := p.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestClusterSharedConfigSlot: two units in one phase configure
+// different DFGs at the same slot address. Each unit must still run its
+// own configuration, so its output region equals its standalone run,
+// and the finished image holds nothing but the units' data — no
+// bitstream bytes in config space.
+func TestClusterSharedConfigSlot(t *testing.T) {
+	cfg := core.DefaultConfig()
+	const n = 16
+	const span = 24 * n // inputs A and B, then output C
+	bases := []uint64{0x1_0000, 0x10_0000}
+	progs := []*core.Program{
+		pairProgram(t, cfg, dfg.Add(64), bases[0], n),
+		pairProgram(t, cfg, dfg.Mul(64), bases[1], n),
+	}
+	slot := core.ConfigSpace + core.ConfigSlotBytes
+	for _, p := range progs {
+		if _, ok := p.Configs[slot]; !ok || len(p.Configs) != 1 {
+			t.Fatalf("%s: want one bitstream at slot 1 (%#x), have %d", p.Name, slot, len(p.Configs))
+		}
+	}
+	if bytes.Equal(progs[0].Configs[slot], progs[1].Configs[slot]) {
+		t.Fatal("the two DFGs encode to the same bitstream")
+	}
+	init := func(m *mem.Memory) {
+		irng := rand.New(rand.NewSource(1))
+		for _, base := range bases {
+			for i := uint64(0); i < 2*n; i++ {
+				m.WriteU64(base+8*i, uint64(irng.Int63n(1000)))
+			}
+		}
+	}
+	clusterMem := runCluster(t, cfg, progs, init)
+	only := mem.NewMemory()
+	for u, p := range progs {
+		alone := runCluster(t, cfg, []*core.Program{p}, init)
+		got := make([]byte, span)
+		want := make([]byte, span)
+		clusterMem.Read(bases[u], got)
+		alone.Read(bases[u], want)
+		if !bytes.Equal(got, want) {
+			t.Errorf("unit %d (%s): region differs between the cluster and a standalone run", u, p.Name)
+		}
+		only.Write(bases[u], got)
+	}
+	if addr, diff := clusterMem.FirstDiff(only); diff {
+		t.Errorf("memory image holds bytes outside the units' regions at %#x (config space starts at %#x)", addr, core.ConfigSpace)
 	}
 }

@@ -188,17 +188,16 @@ func (m *Machine) EnableTrace(limit uint64) {
 func (m *Machine) Trace() *trace.Recorder { return m.tracer }
 
 // onConfig decodes the configuration bitstream the SD_Config stream
-// just finished loading — read back from the memory image, so the
-// machine runs exactly what was stored there.
+// just finished loading. The stream models the timed read over config
+// space; the bytes come from the program's Configs, so a data stream
+// that writes into config space cannot alter the configuration.
 func (m *Machine) onConfig(addr uint64) {
 	blob, ok := m.prog.Configs[addr]
 	if !ok {
 		m.configErr = fmt.Errorf("core: SD_Config loaded unknown address %#x", addr)
 		return
 	}
-	data := make([]byte, len(blob))
-	m.Sys.Mem.Read(addr, data)
-	s, err := cgra.DecodeConfig(m.cfg.Fabric, data)
+	s, err := cgra.DecodeConfig(m.cfg.Fabric, blob)
 	if err != nil {
 		m.configErr = fmt.Errorf("core: decoding configuration at %#x: %w", addr, err)
 		return
@@ -210,17 +209,15 @@ func (m *Machine) onConfig(addr uint64) {
 
 // Load prepares the machine to run p. The command stream is round-
 // tripped through the binary ISA encoding, so the machine executes the
-// architecturally encodable program, not arbitrary Go values. Load and
-// the run only read p, so machines may share one Program.
+// architecturally encodable program, not arbitrary Go values. Load
+// writes nothing into the memory image: bitstreams stay in p.Configs.
+// Load and the run only read p, so machines may share one Program.
 func (m *Machine) Load(p *Program) error {
 	if err := p.Err(); err != nil {
 		return err
 	}
 	if err := p.roundTrip(); err != nil {
 		return err
-	}
-	for addr, blob := range p.Configs {
-		m.Sys.Mem.Write(addr, blob)
 	}
 	m.prog = p
 	m.pc = 0

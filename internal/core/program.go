@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"softbrain/internal/cgra"
 	"softbrain/internal/dfg"
@@ -10,16 +9,16 @@ import (
 	"softbrain/internal/sched"
 )
 
-// ConfigSpace is the memory region where configuration bitstreams live;
-// workload data must stay below it. Every Configure call in the process
-// claims a fresh 4 KB slot, so programs sharing one memory image (the
-// multi-unit cluster) never collide.
+// ConfigSpace is the address region SD_Config streams read their
+// bitstreams from; workload data must stay below it. A program numbers
+// its 4 KB slots from here on its own, so two programs may use the same
+// slot address. The bitstreams live in Program.Configs, not in the
+// memory image: config space reads as zeros, and data written there
+// never reaches the fabric (sdlint reports both as errors).
 const ConfigSpace uint64 = 0xC000_0000
 
 // ConfigSlotBytes is the space reserved per configuration bitstream.
 const ConfigSlotBytes = 0x1000
-
-var configSlot atomic.Uint64
 
 // TraceOp is one step of the control program: either a stream command or
 // a span of host computation (address arithmetic, loop control) measured
@@ -36,9 +35,9 @@ type TraceOp struct {
 // reported by Err or at load time.
 type Program struct {
 	Name string
-	// Configs holds the encoded configuration bitstream per memory
-	// address; Machine.Load writes them into the memory image, and the
-	// machine decodes whatever SD_Config actually reads back.
+	// Configs holds the encoded configuration bitstream per config-space
+	// address. It is the only copy: when an SD_Config stream over an
+	// address retires, the machine decodes the bitstream stored here.
 	Configs map[uint64][]byte
 	Trace   []TraceOp
 
@@ -77,15 +76,16 @@ func (p *Program) Delay(cycles uint64) {
 }
 
 // Configure serializes the schedule into its configuration bitstream,
-// registers it at a fresh address, emits the SD_Config command for it,
-// and makes it the active configuration for port-name resolution.
+// registers it at the program's next config slot (slots count from 1
+// within each program), emits the SD_Config command for it, and makes
+// it the active configuration for port-name resolution.
 func (p *Program) Configure(s *cgra.Schedule) {
 	blob := cgra.EncodeConfig(s)
 	if len(blob) > ConfigSlotBytes {
 		p.fail("configuration bitstream of %s is %d bytes; slot is %d", s.Graph.Name, len(blob), ConfigSlotBytes)
 		return
 	}
-	addr := ConfigSpace + configSlot.Add(1)*ConfigSlotBytes
+	addr := ConfigSpace + uint64(len(p.Configs)+1)*ConfigSlotBytes
 	p.Configs[addr] = blob
 	p.cur = s
 	p.Emit(isa.Config{Addr: addr, Size: uint64(len(blob))})

@@ -12,9 +12,9 @@ import (
 // TestConcurrentMachines runs independent machines in parallel
 // goroutines. The simulator itself is single-threaded (Cluster steps
 // its units in lockstep), but users may simulate separate machines
-// concurrently — sweeps do — and the only shared state allowed between
-// machines is the package-global configuration-slot allocator. Under
-// `go test -race` this smoke test keeps that property honest.
+// concurrently — sweeps do — and machines share no state: each program
+// numbers its own configuration slots. Under `go test -race` this
+// smoke test keeps that property honest.
 func TestConcurrentMachines(t *testing.T) {
 	const workers = 8
 	var wg sync.WaitGroup

@@ -120,10 +120,7 @@ func TestSpanEquivalenceWorkloads(t *testing.T) {
 							schedModes[0].name, schedModes[mode].name,
 							schedModes[0].name, ref.stats, schedModes[mode].name, got.stats)
 					}
-					// Diffs at/above ConfigSpace are the per-process
-					// configuration slots, which differ between the
-					// per-mode builds by design.
-					if addr, diff := got.cl.Mem.FirstDiff(ref.cl.Mem); diff && addr < core.ConfigSpace {
+					if addr, diff := got.cl.Mem.FirstDiff(ref.cl.Mem); diff {
 						t.Errorf("memory differs at %#x between %s and %s",
 							addr, schedModes[0].name, schedModes[mode].name)
 					}

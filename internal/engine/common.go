@@ -151,7 +151,7 @@ type PadWriteBuf struct {
 
 	// The buffer's state changes split into three wake signals so each
 	// watcher subscribes only to the transitions that can unblock it
-	// (see sim.Watcher). A reservation raises nothing: taking capacity
+	// (see sim.Component). A reservation raises nothing: taking capacity
 	// cannot unblock anyone, and the reserving MSE's own snapshot is
 	// refreshed after its tick.
 	fillVer    sim.Signal // Fill: a queued write the SSE can drain

@@ -768,7 +768,7 @@ func (e *MSE) nextLineAccept(now, addr uint64) uint64 {
 }
 
 // WatchSig sums the external signals the engine's wake hint depends on
-// (see sim.Watcher): the ports its active streams read or write, the
+// (see sim.Component): the ports its active streams read or write, the
 // pad write buffer, and the stream-kick counter. The stream set itself
 // changes only inside the engine's own tick or under a Kicks raise, so
 // between two snapshots every term is monotone.

@@ -108,6 +108,21 @@ func CountBarriers(p *core.Program) int {
 	return n
 }
 
+// Serialize returns a copy of p with an SD_Barrier_All after every
+// non-barrier command: the over-serialized program a cautious
+// programmer writes, and the starting point of the fix study.
+func Serialize(p *core.Program) *core.Program {
+	q := clone(p)
+	q.Trace = make([]core.TraceOp, 0, 2*len(p.Trace))
+	for _, op := range p.Trace {
+		q.Trace = append(q.Trace, op)
+		if op.Cmd != nil && !isa.IsBarrier(op.Cmd) {
+			q.Trace = append(q.Trace, core.TraceOp{Cmd: isa.BarrierAll{}})
+		}
+	}
+	return q
+}
+
 // Fix returns a rewritten copy of p with the weakest sufficient barrier
 // set, plus a report of the edits. p itself is never modified. The
 // error return mirrors lint.Check: programs that cannot be analyzed at

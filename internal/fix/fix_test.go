@@ -227,22 +227,6 @@ func TestFixIdempotent(t *testing.T) {
 	}
 }
 
-// serializeAll rebuilds p with an SD_Barrier_All after every
-// non-barrier command — the over-serialized program of the fix study.
-func serializeAll(p *core.Program) *core.Program {
-	q := core.NewProgram(p.Name)
-	for addr, blob := range p.Configs {
-		q.Configs[addr] = blob
-	}
-	for _, op := range p.Trace {
-		q.Trace = append(q.Trace, op)
-		if op.Cmd != nil && !isa.IsBarrier(op.Cmd) {
-			q.Trace = append(q.Trace, core.TraceOp{Cmd: isa.BarrierAll{}})
-		}
-	}
-	return q
-}
-
 // TestEliminateScratchRoundTrip: the lut workload computes its gather
 // indices on the fabric, parks them in the scratchpad, and reloads
 // them across an SD_Config. Serializing it and fixing it must come
@@ -266,7 +250,7 @@ func TestEliminateScratchRoundTrip(t *testing.T) {
 	shipped := inst.Progs[0]
 	shippedBarriers := fix.CountBarriers(shipped)
 
-	serialized := serializeAll(shipped)
+	serialized := fix.Serialize(shipped)
 	fixed, rep, err := fix.Fix(serialized, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -259,10 +259,10 @@ func drawSeed() int64 {
 // canonical re-encoding of everything that determines the result. For
 // a raw program that is the wire re-encoding of the decoded program
 // (whitespace- and field-order-independent); for a named workload it
-// is (name, scale) — the DFG→CGRA placement a rebuild would produce
-// is not canonical, so the workload's identity is its name, not any
-// one compiled artifact. The scalar knobs and output options are
-// hashed in both cases.
+// is (name, scale), because its result depends not only on its
+// programs but also on its input image and golden model, which the
+// name selects. The scalar knobs and output options are hashed in both
+// cases.
 func (rr *runRequest) cacheKey() (string, error) {
 	h := sha256.New()
 	enc := json.NewEncoder(h)

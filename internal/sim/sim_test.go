@@ -23,12 +23,14 @@ func TestHintEarliest(t *testing.T) {
 	}
 }
 
-// fake is a minimal Component with a scripted hint. It is not a
-// Watcher, so it exercises the conservative fallback paths.
+// fake is a minimal Component with a scripted hint whose watch
+// signature is one signal, modeling a component whose inputs are
+// guarded by signals.
 type fake struct {
 	name string
 	hint Hint
 	prog uint64
+	sig  Signal
 
 	ticks []uint64
 	skips []ated
@@ -41,15 +43,7 @@ func (f *fake) Tick(now uint64) error    { f.ticks = append(f.ticks, now); retur
 func (f *fake) NextWake(now uint64) Hint { return f.hint }
 func (f *fake) Progress() uint64         { return f.prog }
 func (f *fake) OnSkip(from, to uint64)   { f.skips = append(f.skips, ated{from, to}) }
-
-// watched adds a watch signature, modeling a component whose inputs
-// are guarded by signals.
-type watched struct {
-	fake
-	sig Signal
-}
-
-func (w *watched) WatchSig() uint64 { return w.sig.Value() }
+func (f *fake) WatchSig() uint64         { return f.sig.Value() }
 
 func TestKernelProgress(t *testing.T) {
 	var k Kernel
@@ -80,40 +74,35 @@ func tick(t *testing.T, k *Kernel, now uint64) {
 
 func TestKernelShouldTick(t *testing.T) {
 	var k Kernel
-	w := &watched{fake: fake{name: "w", hint: Idle()}}
-	u := &fake{name: "u", hint: Idle()}
+	w := &fake{name: "w", hint: Idle()}
 	tm := &fake{name: "t", hint: WakeAt(5)}
 	k.Register(w)
-	k.Register(u)
 	k.Register(tm)
 
 	// Cycle 0: fresh registrations default to Ready — everyone ticks.
 	tick(t, &k, 0)
-	for _, f := range []*fake{&w.fake, u, tm} {
+	for _, f := range []*fake{w, tm} {
 		if len(f.ticks) != 1 {
 			t.Fatalf("%s ticked %v on the first cycle", f.name, f.ticks)
 		}
 	}
 
-	// Cycle 1: the watcher sleeps (Idle, signature unchanged), the
-	// unwatched Idle component must still tick (no way to re-validate),
-	// the timed component sleeps until cycle 5.
+	// Cycle 1: the idle component sleeps (signature unchanged), the
+	// timed component sleeps until cycle 5.
 	tick(t, &k, 1)
 	if len(w.ticks) != 1 {
-		t.Errorf("watcher ticked %v; want asleep at cycle 1", w.ticks)
-	}
-	if len(u.ticks) != 2 {
-		t.Errorf("unwatched idle component ticks %v; must tick every cycle", u.ticks)
+		t.Errorf("idle component ticked %v; want asleep at cycle 1", w.ticks)
 	}
 	if len(tm.ticks) != 1 {
 		t.Errorf("timed component ticked %v; want asleep until 5", tm.ticks)
 	}
 
-	// A signal raise wakes the watcher on the next cycle and is counted.
+	// A signal raise wakes the idle component on the next cycle and is
+	// counted.
 	w.sig.Raise()
 	tick(t, &k, 2)
 	if len(w.ticks) != 2 || w.ticks[1] != 2 {
-		t.Errorf("watcher ticks %v; want woken at cycle 2", w.ticks)
+		t.Errorf("idle component ticks %v; want woken at cycle 2", w.ticks)
 	}
 	if k.Stats.SigWakes != 1 {
 		t.Errorf("SigWakes = %d, want 1", k.Stats.SigWakes)
@@ -130,7 +119,7 @@ func TestKernelShouldTick(t *testing.T) {
 
 func TestKernelLazyReplay(t *testing.T) {
 	var k Kernel
-	w := &watched{fake: fake{name: "w", hint: Idle()}}
+	w := &fake{name: "w", hint: Idle()}
 	k.Register(w)
 	tick(t, &k, 0) // ticks, sleeps afterwards
 	for now := uint64(1); now < 4; now++ {
@@ -167,17 +156,9 @@ func TestKernelNextWake(t *testing.T) {
 			t.Errorf("NextWake = %v, want ready", h)
 		}
 	})
-	t.Run("unwatched idle vetoes", func(t *testing.T) {
-		var k Kernel
-		k.Register(&fake{name: "a", hint: Idle()})
-		seed(t, &k, now)
-		if h := k.NextWake(now); h.Kind != WakeReady {
-			t.Errorf("NextWake = %v, want ready (cannot prove frozen)", h)
-		}
-	})
 	t.Run("watched idle plus timed jumps", func(t *testing.T) {
 		var k Kernel
-		k.Register(&watched{fake: fake{name: "w", hint: Idle()}})
+		k.Register(&fake{name: "w", hint: Idle()})
 		k.Register(&fake{name: "t", hint: WakeAt(500)})
 		seed(t, &k, now)
 		if h := k.NextWake(now); h != WakeAt(500) {
@@ -186,7 +167,7 @@ func TestKernelNextWake(t *testing.T) {
 	})
 	t.Run("signature change vetoes", func(t *testing.T) {
 		var k Kernel
-		w := &watched{fake: fake{name: "w", hint: Idle()}}
+		w := &fake{name: "w", hint: Idle()}
 		k.Register(w)
 		k.Register(&fake{name: "t", hint: WakeAt(500)})
 		seed(t, &k, now)
@@ -205,7 +186,7 @@ func TestKernelNextWake(t *testing.T) {
 	})
 	t.Run("all watched idle is idle", func(t *testing.T) {
 		var k Kernel
-		k.Register(&watched{fake: fake{name: "w", hint: Idle()}})
+		k.Register(&fake{name: "w", hint: Idle()})
 		seed(t, &k, now)
 		if h := k.NextWake(now); h.Kind != WakeIdle {
 			t.Errorf("NextWake = %v, want idle", h)
