@@ -91,11 +91,3 @@ obs-check:
 .PHONY: serve-smoke
 serve-smoke:
 	go run ./cmd/sdserve -smoke
-
-# sdserve load generator (docs/SERVE.md): an in-process server soaked
-# by concurrent clients with chaos cancellations; writes the
-# throughput/latency table to BENCH_serve.json and fails if any panic
-# escaped a request. Override the shape with LOADGEN_ARGS.
-.PHONY: serve-loadgen
-serve-loadgen:
-	go run ./cmd/sdserve -loadgen $${LOADGEN_ARGS:-}

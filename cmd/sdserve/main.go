@@ -7,7 +7,6 @@
 //	sdserve -addr :9000          # another port
 //	sdserve -pprof               # also mount /debug/pprof/
 //	sdserve -smoke               # in-process end-to-end self test (CI gate)
-//	sdserve -loadgen             # in-process load generation -> BENCH_serve.json
 //
 // Endpoints: POST /v1/run (submission; ?stream=1 for SSE progress),
 // GET /v1/runs/{id}/events (attach to an in-flight run), GET /healthz,
@@ -22,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -44,13 +42,6 @@ func main() {
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	logLevel := flag.String("log-level", "info", "request log level (debug logs every progress heartbeat)")
 	smoke := flag.Bool("smoke", false, "run the in-process self test and exit")
-
-	loadgen := flag.Bool("loadgen", false, "run in-process load generation and exit")
-	lgClients := flag.Int("loadgen-clients", 8, "with -loadgen: concurrent clients")
-	lgRequests := flag.Int("loadgen-requests", 400, "with -loadgen: total requests")
-	lgChaos := flag.Int("loadgen-chaos", 9, "with -loadgen: abandon every Nth request mid-run (0 = never)")
-	lgStream := flag.Int("loadgen-stream", 4, "with -loadgen: stream every Nth request over SSE (0 = never)")
-	lgOut := flag.String("out", "BENCH_serve.json", "with -loadgen: output path")
 	flag.Parse()
 
 	opts := serve.Options{
@@ -67,11 +58,6 @@ func main() {
 	switch {
 	case *smoke:
 		if err := serve.SelfTest(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "sdserve:", err)
-			os.Exit(1)
-		}
-	case *loadgen:
-		if err := runLoadgen(opts, *lgClients, *lgRequests, *lgChaos, *lgStream, *lgOut); err != nil {
 			fmt.Fprintln(os.Stderr, "sdserve:", err)
 			os.Exit(1)
 		}
@@ -124,66 +110,6 @@ func run(addr string, opts serve.Options) error {
 	fmt.Fprintf(os.Stderr, "sdserve: final counters:\n%s\n", data)
 	if c.Panics != 0 {
 		return fmt.Errorf("%d panics were contained during this run", c.Panics)
-	}
-	return nil
-}
-
-// runLoadgen starts an in-process server on a loopback port, drives it
-// with the shared load generator, and writes the throughput/latency
-// summary published next to BENCH_sim.json.
-func runLoadgen(opts serve.Options, clients, requests, chaos, stream int, out string) error {
-	s := serve.New(opts)
-	hs := &http.Server{Handler: s}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	go hs.Serve(ln)
-	defer hs.Close()
-	defer s.Drain()
-
-	cfg := serve.LoadConfig{
-		Clients:  clients,
-		Requests: requests,
-		Workloads: []string{
-			"gemm", "fft", "spmv-crs", "stencil2d", "gemm", "lut", "bfs", "gemm",
-		},
-		Seed:        1,
-		CancelEvery: chaos,
-		CancelAfter: 2 * time.Millisecond,
-		StreamEvery: stream,
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-	res, err := serve.RunLoad(ctx, "http://"+ln.Addr().String(), cfg)
-	if err != nil {
-		return err
-	}
-
-	report := struct {
-		Config   serve.LoadConfig  `json:"config"`
-		Result   *serve.LoadResult `json:"result"`
-		Counters serve.Counters    `json:"server_counters"`
-	}{cfg, res, s.Counters()}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-
-	fmt.Printf("sdserve loadgen: %d clients, %d requests (chaos every %d)\n", clients, requests, chaos)
-	fmt.Printf("  ok %d (cached %d, deduped %d)  shed %d  canceled %d  failed %d  retries %d\n",
-		res.OK, res.CacheHits, res.Deduped, res.Shed, res.Canceled, res.Failed, res.Retries)
-	fmt.Printf("  %.1f sims/sec   p50 %v   p90 %v   p99 %v\n", res.SimsPerSec, res.P50, res.P90, res.P99)
-	if res.StreamOK > 0 {
-		fmt.Printf("  streamed: ok %d  progress frames %d  p50 %v  p99 %v\n",
-			res.StreamOK, res.StreamProgress, res.StreamP50, res.StreamP99)
-	}
-	fmt.Printf("  wrote %s\n", out)
-	if c := s.Counters(); c.Panics != 0 {
-		return fmt.Errorf("%d panics were contained during load generation", c.Panics)
 	}
 	return nil
 }

@@ -22,10 +22,10 @@ type Cluster struct {
 	Mem   *mem.Memory
 
 	// Lint is the optional cluster-scope static-analysis hook consulted
-	// by RunStrict and RunPipelineStrict before any unit loads: it sees
-	// the whole phased program set (phases[k][u] = unit u's program in
-	// phase k) because inter-unit hazards are a property of the set, not
-	// of any one program. Install it with
+	// by RunPipelineStrict before any unit loads: it sees the whole
+	// phased program set (phases[k][u] = unit u's program in phase k)
+	// because inter-unit hazards are a property of the set, not of any
+	// one program. Install it with
 	//
 	//	cl.Lint = lint.ClusterHook(cfg, opts)
 	//
@@ -186,8 +186,8 @@ func (c *Cluster) validateUnits() error {
 	return nil
 }
 
-// FaultStats sums the injected-fault counts across all units; zero when
-// faults are disabled.
+// FaultStats sums the faults injected during the last run across all
+// units (see Machine.FaultStats); zero when faults are disabled.
 func (c *Cluster) FaultStats() faults.Stats {
 	var total faults.Stats
 	for _, u := range c.Units {
@@ -422,39 +422,27 @@ func (c *Cluster) lintPhases(phases [][]*Program) error {
 	return nil
 }
 
-// RunStrict is Run with the program set vetted by the Lint hook first:
-// per-unit hazards and inter-unit races (overlapping DRAM footprints
-// across units, unordered shared-region access) are refused before any
-// unit loads.
-func (c *Cluster) RunStrict(progs []*Program) (*Stats, error) {
-	if err := c.lintPhases([][]*Program{progs}); err != nil {
+// RunPipelineStrict executes a phased program set, vetted whole by the
+// Lint hook first: per-unit hazards and inter-unit races (overlapping
+// DRAM footprints across units, unordered shared-region access) are
+// refused before any unit loads. phases[k] holds one program per unit;
+// phase k+1 starts only after every unit of phase k fully completed
+// (Run returns only when all units are done), so the phase boundary is
+// a cluster-wide barrier — the ordering primitive the cluster linter's
+// shared-region rules verify against. Statistics are aggregated across
+// phases with Cycles summed: phases are sequential, so the pipeline's
+// wall-clock is the sum of the phase wall-clocks.
+func (c *Cluster) RunPipelineStrict(phases [][]*Program) (*Stats, error) {
+	if err := c.lintPhases(phases); err != nil {
 		return nil, err
 	}
-	return c.Run(progs)
-}
-
-// RunPipeline executes a phased program set: phases[k] holds one
-// program per unit, phase k+1 starts only after every unit of phase k
-// fully completed (Run returns only when all units are done), so the
-// phase boundary is a cluster-wide barrier — the ordering primitive the
-// cluster linter's shared-region rules verify against. Statistics are
-// aggregated across phases with Cycles summed: phases are sequential,
-// so the pipeline's wall-clock is the sum of the phase wall-clocks.
-func (c *Cluster) RunPipeline(phases [][]*Program) (*Stats, error) {
-	return c.RunPipelineContext(context.Background(), phases)
-}
-
-// RunPipelineContext is RunPipeline bounded by a context; cancellation
-// between or within phases returns a *CanceledError and runs no
-// further phase.
-func (c *Cluster) RunPipelineContext(ctx context.Context, phases [][]*Program) (*Stats, error) {
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("core: pipeline has no phases")
 	}
 	total := &Stats{}
 	var cycles uint64
 	for pi, progs := range phases {
-		s, err := c.RunContext(ctx, progs)
+		s, err := c.Run(progs)
 		if err != nil {
 			return nil, fmt.Errorf("core: pipeline phase %d: %w", pi, err)
 		}
@@ -463,13 +451,4 @@ func (c *Cluster) RunPipelineContext(ctx context.Context, phases [][]*Program) (
 	}
 	total.Cycles = cycles
 	return total, nil
-}
-
-// RunPipelineStrict is RunPipeline with the whole phase sequence vetted
-// by the Lint hook first.
-func (c *Cluster) RunPipelineStrict(phases [][]*Program) (*Stats, error) {
-	if err := c.lintPhases(phases); err != nil {
-		return nil, err
-	}
-	return c.RunPipeline(phases)
 }

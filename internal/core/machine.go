@@ -224,10 +224,14 @@ func (m *Machine) Load(p *Program) error {
 	m.busyUntil = 0
 	// A reused machine restarts at cycle 0: rewind the wake-set state so
 	// the previous run's cached "everything idle" hints cannot put the
-	// new run to sleep before its first tick, and start the scheduler
-	// and barrier-drain tallies afresh so they describe this run only.
+	// new run to sleep before its first tick, and start the scheduler,
+	// barrier-drain and fault tallies afresh so they describe this run
+	// only.
 	m.kern.Reset()
 	m.disp.ResetDrains()
+	if m.faults != nil {
+		m.faults.ResetStats()
+	}
 	m.lastStepped = -1
 	return nil
 }
@@ -434,8 +438,8 @@ func (m *Machine) stalled(e faults.Engine, now uint64) bool {
 	return m.faults != nil && m.faults.Stalled(e, now)
 }
 
-// FaultStats returns the injected-fault counts, zero when faults are
-// disabled.
+// FaultStats returns the faults injected during this unit's last run,
+// zero when faults are disabled.
 func (m *Machine) FaultStats() faults.Stats {
 	if m.faults == nil {
 		return faults.Stats{}

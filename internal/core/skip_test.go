@@ -7,7 +7,6 @@ package core_test
 
 import (
 	"bytes"
-	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -15,63 +14,10 @@ import (
 	"softbrain/examples/programs"
 	"softbrain/internal/core"
 	"softbrain/internal/faults"
-	"softbrain/internal/fix"
 	"softbrain/internal/mem"
 	"softbrain/internal/obs"
 	"softbrain/internal/progen"
-	"softbrain/internal/workloads"
-	"softbrain/internal/workloads/dnn"
-	"softbrain/internal/workloads/machsuite"
 )
-
-// TestSkipAheadWorkloads runs every MachSuite workload and a DNN layer
-// slice with skipping off and on: the statistics must be identical in
-// every field (Cycles above all).
-func TestSkipAheadWorkloads(t *testing.T) {
-	type build struct {
-		name string
-		inst func(cfg core.Config) (*workloads.Instance, error)
-		cfg  core.Config
-	}
-	var builds []build
-	mcfg := core.DefaultConfig()
-	for _, e := range machsuite.All() {
-		e := e
-		builds = append(builds, build{e.Name, func(cfg core.Config) (*workloads.Instance, error) {
-			return e.Build(cfg, 2)
-		}, mcfg})
-	}
-	dcfg := dnn.Config()
-	for _, l := range dnn.Layers()[:2] {
-		l := l
-		builds = append(builds, build{l.Name, func(cfg core.Config) (*workloads.Instance, error) {
-			return l.Build(cfg, dnn.Units)
-		}, dcfg})
-	}
-	for _, b := range builds {
-		b := b
-		t.Run(b.name, func(t *testing.T) {
-			t.Parallel()
-			run := func(noSkip bool) *core.Stats {
-				cfg := b.cfg
-				cfg.NoSkipAhead = noSkip
-				inst, err := b.inst(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				_, stats, err := inst.Run(context.Background(), cfg, false, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return stats
-			}
-			off, on := run(true), run(false)
-			if !reflect.DeepEqual(off, on) {
-				t.Errorf("stats differ with skip-ahead:\n  off: %+v\n  on:  %+v", off, on)
-			}
-		})
-	}
-}
 
 // TestSkipAheadExamples runs every example program (quickstart,
 // stencil, spmv, classifier) with skipping off and on: identical
@@ -163,21 +109,7 @@ func TestSkipAheadTraces(t *testing.T) {
 	cfg := core.DefaultConfig()
 	var skipped uint64
 	for seed := int64(0); seed < 20; seed++ {
-		p, ports, err := progen.Addpair(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		for _, c := range progen.Commands(rng, ports) {
-			p.Emit(c)
-		}
-		if err := p.Err(); err != nil {
-			t.Fatal(err)
-		}
-		fixed, _, err := fix.Fix(p, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fixed := genProgram(t, cfg, seed)
 
 		offCfg, onCfg := cfg, cfg
 		offCfg.NoSkipAhead = true
@@ -218,21 +150,7 @@ func TestSkipAheadUnderFaults(t *testing.T) {
 		profile := profile
 		t.Run(profile, func(t *testing.T) {
 			for seed := int64(0); seed < 10; seed++ {
-				p, ports, err := progen.Addpair(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(seed))
-				for _, c := range progen.Commands(rng, ports) {
-					p.Emit(c)
-				}
-				if err := p.Err(); err != nil {
-					t.Fatal(err)
-				}
-				fixed, _, err := fix.Fix(p, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				fixed := genProgram(t, cfg, seed)
 				fc, err := faults.Profile(profile, seed*17+3)
 				if err != nil {
 					t.Fatal(err)

@@ -17,6 +17,7 @@ import (
 	"softbrain/internal/fix"
 	"softbrain/internal/mem"
 	"softbrain/internal/progen"
+	"softbrain/internal/workloads/machsuite"
 )
 
 // soakSeeds is the number of generated programs: SOAK_SEEDS when set
@@ -131,5 +132,63 @@ func TestSoakFaultInjection(t *testing.T) {
 		if _, err := runSoak(t, cfg, nil, maimed, seed); err != nil && !typedFailure(err) {
 			t.Fatalf("seed %d: maimed run returned an untyped error: %v", seed, err)
 		}
+	}
+}
+
+// TestWarmRunFaultStats drives a cluster by hand under the delay
+// profile: a warm-up run, then the measured run. The fault counts
+// reported after the measured run must be the faults it delivered
+// alone, not the sum over both runs, just as its Stats and SchedStats
+// cover it alone.
+func TestWarmRunFaultStats(t *testing.T) {
+	cfg := core.DefaultConfig()
+	fc, err := faults.Profile("delay", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = &fc
+	inst, err := machsuite.BuildGEMM(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := core.NewCluster(cfg, inst.Units())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.Init(cl.Mem)
+	if _, err := cl.Run(inst.Progs); err != nil {
+		t.Fatal(err)
+	}
+	if warm := cl.FaultStats(); warm.MemDelays == 0 {
+		t.Fatal("warm-up run delivered no memory delays; the test is vacuous")
+	}
+
+	// The injector's tallies once the measured run has loaded, so that
+	// what it delivers from here on is the measured run's alone.
+	for i, u := range cl.Units {
+		if err := u.Load(inst.Progs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := cl.FaultStats()
+	if _, err := cl.Run(inst.Progs); err != nil {
+		t.Fatal(err)
+	}
+	if err := inst.Check(cl.Mem); err != nil {
+		t.Fatal(err)
+	}
+	end := cl.FaultStats()
+	delivered := faults.Stats{
+		MemDelays:   end.MemDelays - start.MemDelays,
+		Stalls:      end.Stalls - start.Stalls,
+		StallCycles: end.StallCycles - start.StallCycles,
+		Throttles:   end.Throttles - start.Throttles,
+		BitFlips:    end.BitFlips - start.BitFlips,
+	}
+	if delivered.MemDelays == 0 {
+		t.Fatal("measured run delivered no memory delays; the test is vacuous")
+	}
+	if end != delivered {
+		t.Errorf("measured run reports %v, but delivered %v", end, delivered)
 	}
 }

@@ -139,8 +139,13 @@ func New(cfg Config) *Injector {
 	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
-// Stats returns the running fault counts.
+// Stats returns the fault counts since the injector was built or last
+// reset.
 func (j *Injector) Stats() Stats { return j.stats }
+
+// ResetStats zeroes the fault counts. The random stream and any stall
+// in progress are untouched, so the fault schedule does not move.
+func (j *Injector) ResetStats() { j.stats = Stats{} }
 
 // MemDelay returns extra cycles of latency for one accepted memory
 // request (usually 0).

@@ -442,7 +442,7 @@ func collectDRAM(p *core.Program, cfg core.Config) []access {
 //
 //	cl.Lint = lint.ClusterHook(cfg, lint.ClusterOpts{Regions: ...})
 //
-// and run through Cluster.RunStrict or Cluster.RunPipelineStrict.
+// and run through Cluster.RunPipelineStrict.
 func ClusterHook(cfg core.Config, o ClusterOpts) func([][]*core.Program) error {
 	return func(phases [][]*core.Program) error {
 		var errs []Finding

@@ -50,6 +50,10 @@
 #                    check it agrees with /statusz, reject a malformed
 #                    submission with a typed error, and drain cleanly
 #                    with a request in flight
+#  14. perfbench vet the benchmark (perfbench/, see perfbench/README.md)
+#                    is a module of its own, so stages 2-4 skip it; vet
+#                    builds it against this tree and fails if it uses
+#                    an API that no longer exists
 #
 # Run it from the repository root (or via `make check`). Exits non-zero
 # on the first failing stage.
@@ -116,5 +120,8 @@ FUZZTIME=5s make fuzz-smoke
 
 echo "== serve smoke (submit, cache hit, stream, metrics, typed reject, graceful drain)"
 go run ./cmd/sdserve -smoke
+
+echo "== perfbench vet (the benchmark builds against this tree)"
+go -C perfbench vet .
 
 echo "== all checks passed"

@@ -227,7 +227,7 @@ func LintPipeline(phases [][]*Program, cfg Config, o ClusterLintOpts) (LintResul
 }
 
 // ClusterLintHook adapts the cluster analysis to Cluster.Lint, for use
-// with Cluster.RunStrict / RunPipelineStrict:
+// with Cluster.RunPipelineStrict:
 //
 //	cl.Lint = softbrain.ClusterLintHook(cfg, softbrain.ClusterLintOpts{})
 func ClusterLintHook(cfg Config, o ClusterLintOpts) func([][]*Program) error {
